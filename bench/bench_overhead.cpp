@@ -90,6 +90,18 @@ void BM_CancelableTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelableTransform)->Unit(benchmark::kMicrosecond);
 
+// The per-key Gaussian build the facade pays on every verify (one fresh
+// dim x dim matrix per user key, Section VI); dim 512 is the paper shape.
+void BM_GaussianMatrixBuild(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    const auth::GaussianMatrix g(++seed, dim);
+    benchmark::DoNotOptimize(g.dim());
+  }
+}
+BENCHMARK(BM_GaussianMatrixBuild)->Arg(64)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+
 void BM_EndToEndVerification(benchmark::State& state) {
   Fixture& f = Fixture::instance();
   core::MandiPass system(f.extractor);

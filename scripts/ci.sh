@@ -31,7 +31,9 @@ job_build_werror() {
 }
 
 job_bench_smoke() {
-  MANDIPASS_BENCH_QUICK=1 build/bench/bench_fig5_onset \
+  # The benchmark's own arithmetic (percentiles, spreads, probe means).
+  python3 perfbench/run.py --selftest &&
+    MANDIPASS_BENCH_QUICK=1 build/bench/bench_fig5_onset \
     --json build/BENCH_bench_fig5_onset.json &&
     build/tools/bench_compare --skip-latency \
       bench/baselines/bench_fig5_onset.quick.json \

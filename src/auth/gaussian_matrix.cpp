@@ -12,16 +12,19 @@ namespace mandipass::auth {
 GaussianMatrix::GaussianMatrix(std::uint64_t seed, std::size_t dim) : seed_(seed), dim_(dim) {
   MANDIPASS_EXPECTS(dim > 0);
   Rng rng(seed);
-  std::vector<float> g(dim * dim);  // row-major G[i][j], i = input index
   const double sigma = 1.0 / std::sqrt(static_cast<double>(dim));
-  for (auto& v : g) {
-    v = static_cast<float>(rng.normal(0.0, sigma));
+  // G[i][j] is drawn row-major (i = input index). x' = x * G: output j
+  // contracts column j of G, so G's row i is the kernel's column i, and
+  // each row of draws is packed as it is produced. Same footprint as
+  // storing G raw, better locality: the kernel streams the matrix once
+  // per transform with 8 outputs resident in registers instead of
+  // re-walking out[] for every input i.
+  gemm_.reset_columns(dim, dim);
+  std::vector<float> row(dim);
+  for (std::size_t i = 0; i < dim; ++i) {
+    rng.fill_normal(row, 0.0, sigma);
+    gemm_.pack_column(i, row.data());
   }
-  // x' = x * G: output j contracts column j of G, so pack columns as the
-  // kernel's rows. Same footprint as storing G raw, better locality: the
-  // kernel streams the matrix once per transform with 8 outputs resident
-  // in registers instead of re-walking out[] for every input i.
-  gemm_.pack_columns(g.data(), nullptr, dim, dim);
 }
 
 std::vector<float> GaussianMatrix::transform(std::span<const float> x) const {

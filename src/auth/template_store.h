@@ -66,6 +66,10 @@ class TemplateStore {
   /// Fetches the sealed template (verification path).
   std::optional<StoredTemplate> lookup(const std::string& user) const;
 
+  /// Whether `user` has a sealed template. Copies nothing, unlike
+  /// lookup(): for existence checks ahead of the verification path.
+  bool contains(const std::string& user) const { return store_.contains(user); }
+
   /// Deletes a user's template; returns false if absent.
   bool revoke(const std::string& user);
 

@@ -7,7 +7,9 @@
 // 256-bit state and passes BigCrush.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mandipass {
@@ -44,6 +46,15 @@ class Rng {
 
   /// Normal with the given mean and standard deviation.
   double normal(double mean, double stddev);
+
+  /// Fills `out` with normal(mean, stddev) draws rounded to float: the
+  /// same bits as `for (float& v : out) v = static_cast<float>(normal(mean,
+  /// stddev));`, leaving the generator (spare deviate included) in the
+  /// same state. Pairs are evaluated in vectorized blocks and any value
+  /// not proven bit-exact is recomputed with normal()'s scalar expression
+  /// (DESIGN.md §19). Returns how many Box-Muller pairs took that exact
+  /// fallback — a diagnostic; the output does not depend on it.
+  std::size_t fill_normal(std::span<float> out, double mean, double stddev);
 
   /// Log-normal: exp(normal(mu, sigma)). Handy for strictly positive
   /// physiological parameters.

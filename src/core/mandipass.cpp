@@ -91,7 +91,7 @@ void MandiPass::seal_template(const std::string& user, const std::vector<float>&
 
 common::Result<auth::Decision> MandiPass::try_verify(const std::string& user,
                                                      const imu::RawRecording& recording) {
-  if (!store_.lookup(user).has_value()) {
+  if (!store_.contains(user)) {
     return common::make_error(common::ErrorCode::UnknownUser,
                               "no enrolment for user '" + user + "'");
   }
@@ -115,7 +115,7 @@ std::optional<auth::Decision> MandiPass::verify(const std::string& user,
 }
 
 void MandiPass::rekey(const std::string& user, const imu::RawRecording& recording) {
-  MANDIPASS_EXPECTS(store_.lookup(user).has_value());
+  MANDIPASS_EXPECTS(store_.contains(user));
   enroll(user, recording);  // enroll() bumps key_version and draws a new seed
 }
 

@@ -101,21 +101,30 @@ void PackedGemm::pack_rows(const float* w, const float* bias, std::size_t rows,
 
 void PackedGemm::pack_columns(const float* w, const float* bias, std::size_t rows,
                               std::size_t cols) {
+  reset_columns(rows, cols);
+  for (std::size_t k = 0; k < cols; ++k) {
+    pack_column(k, w + k * rows);
+  }
+  if (bias != nullptr) {
+    std::copy(bias, bias + rows, bias_.begin());
+  }
+}
+
+void PackedGemm::reset_columns(std::size_t rows, std::size_t cols) {
   MANDIPASS_EXPECTS(rows > 0 && cols > 0);
   rows_ = rows;
   cols_ = cols;
   const std::size_t blocks = (rows + kOcBlock - 1) / kOcBlock;
   weights_.assign(blocks * cols * kOcBlock, 0.0f);
   bias_.assign(blocks * kOcBlock, 0.0f);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const std::size_t blk = r / kOcBlock;
-    const std::size_t j = r % kOcBlock;
-    for (std::size_t k = 0; k < cols; ++k) {
-      weights_[(blk * cols + k) * kOcBlock + j] = w[k * rows + r];
-    }
-    if (bias != nullptr) {
-      bias_[r] = bias[r];
-    }
+}
+
+void PackedGemm::pack_column(std::size_t k, const float* wk) {
+  MANDIPASS_EXPECTS(k < cols_);
+  for (std::size_t r0 = 0; r0 < rows_; r0 += kOcBlock) {
+    const std::size_t n = std::min(kOcBlock, rows_ - r0);
+    float* dst = weights_.data() + ((r0 / kOcBlock) * cols_ + k) * kOcBlock;
+    std::copy(wk + r0, wk + r0 + n, dst);
   }
 }
 

@@ -151,6 +151,14 @@ class PackedGemm {
   /// such as the Gaussian cancelable transform x' = x * G.
   void pack_columns(const float* w, const float* bias, std::size_t rows, std::size_t cols);
 
+  /// pack_columns() one column at a time: reset_columns() sizes zeroed
+  /// storage (zero bias) for a (rows, cols) matrix, then pack_column(k,
+  /// wk) sets W[r][k] = wk[r] for all rows() entries of wk. A producer
+  /// that generates the transpose row by row (the Gaussian transform)
+  /// packs it without materialising the whole input.
+  void reset_columns(std::size_t rows, std::size_t cols);
+  void pack_column(std::size_t k, const float* wk);
+
   /// For every input vector xi in [0, x_count) and output row r:
   ///   y[r * y_stride + xi] =
   ///       epilogue(bias[r] + sum_k W[r][k] * x[xi * x_stride + k]).

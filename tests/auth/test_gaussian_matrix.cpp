@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 
 #include "auth/cosine.h"
+#include "common/crc32.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "nn/inference_plan.h"
 
 namespace mandipass::auth {
 namespace {
@@ -92,6 +95,45 @@ TEST(GaussianMatrix, OutputDimensionMatches) {
   EXPECT_EQ(g.transform(random_vec(16, 5)).size(), 16u);
   EXPECT_EQ(g.dim(), 16u);
   EXPECT_EQ(g.seed(), 5u);
+}
+
+TEST(GaussianMatrix, PinnedRealization) {
+  // CRC32 of the packed matrix for fixed (seed, dim), recorded from the
+  // scalar-draw constructor (one Rng::normal per entry, then
+  // pack_columns). Any change to the Gaussian stream, its rounding or the
+  // packing moves these — and with them every sealed template.
+  EXPECT_EQ(GaussianMatrix(7, 64).checksum(), 0xc28dfe7dU);
+  EXPECT_EQ(GaussianMatrix(42, 512).checksum(), 0x72b279d1U);
+  EXPECT_EQ(GaussianMatrix(1, 63).checksum(), 0x3bd29742U);
+}
+
+TEST(GaussianMatrix, MatchesScalarReferenceElementByElement) {
+  // Reference: the entry-by-entry scalar draw the constructor replaced,
+  // packed with pack_columns. transform() must agree bit for bit.
+  for (const std::size_t dim : {1U, 2U, 15U, 16U, 17U, 63U, 64U, 200U}) {
+    for (const std::uint64_t seed : {3U, 77U, 1234567U}) {
+      Rng rng(seed);
+      std::vector<float> g(dim * dim);
+      const double sigma = 1.0 / std::sqrt(static_cast<double>(dim));
+      for (auto& v : g) {
+        v = static_cast<float>(rng.normal(0.0, sigma));
+      }
+      nn::PackedGemm ref;
+      ref.pack_columns(g.data(), nullptr, dim, dim);
+      const GaussianMatrix m(seed, dim);
+      const std::vector<float>& w = ref.packed_weights();
+      EXPECT_EQ(m.checksum(), common::crc32(w.data(), w.size() * sizeof(float)));
+      const auto x = random_vec(dim, seed + 1);
+      std::vector<float> want(dim);
+      ref.run(x.data(), want.data(), 1, nn::Epilogue::None);
+      const std::vector<float> got = m.transform(x);
+      ASSERT_EQ(got.size(), dim);
+      for (std::size_t j = 0; j < dim; ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got[j]), std::bit_cast<std::uint32_t>(want[j]))
+            << "dim " << dim << ", seed " << seed << ", output " << j;
+      }
+    }
+  }
 }
 
 TEST(GaussianMatrix, TemplateBytes) {

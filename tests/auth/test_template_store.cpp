@@ -38,6 +38,16 @@ TEST(TemplateStore, ReEnrollOverwrites) {
   EXPECT_EQ(store.size(), 1u);
 }
 
+TEST(TemplateStore, ContainsTracksEnrollAndRevoke) {
+  TemplateStore store;
+  EXPECT_FALSE(store.contains("alice"));
+  store.enroll("alice", make_template(1.0f, 7));
+  EXPECT_TRUE(store.contains("alice"));
+  EXPECT_FALSE(store.contains("bob"));
+  store.revoke("alice");
+  EXPECT_FALSE(store.contains("alice"));
+}
+
 TEST(TemplateStore, Revoke) {
   TemplateStore store;
   store.enroll("alice", make_template(1.0f, 7));

@@ -45,6 +45,26 @@ TEST_F(MandiPassTest, VerifyUnknownUserIsNullopt) {
   EXPECT_FALSE(mp.verify("ghost", record(person)).has_value());
 }
 
+TEST_F(MandiPassTest, TryVerifyChecksEnrolmentBeforeCapture) {
+  // The unknown-user check runs first: an unusable capture for an
+  // unenrolled id still reports UnknownUser, and only an enrolled id
+  // gets as far as the capture's own reject reason.
+  MandiPass mp(extractor_);
+  imu::RawRecording silent;
+  silent.sample_rate_hz = 350.0;
+  for (auto& axis : silent.axes) {
+    axis.assign(300, 0.0);
+  }
+  const auto unknown = mp.try_verify("ghost", silent);
+  ASSERT_FALSE(unknown.ok());
+  EXPECT_EQ(unknown.code(), common::ErrorCode::UnknownUser);
+
+  mp.enroll("alice", record(pop_.sample()));
+  const auto known = mp.try_verify("alice", silent);
+  ASSERT_FALSE(known.ok());
+  EXPECT_NE(known.code(), common::ErrorCode::UnknownUser);
+}
+
 TEST_F(MandiPassTest, VerifyKnownUserReturnsDecision) {
   MandiPass mp(extractor_);
   const auto person = pop_.sample();
