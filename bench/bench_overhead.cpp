@@ -105,9 +105,12 @@ BENCHMARK(BM_GaussianMatrixBuild)->Arg(64)->Arg(256)->Arg(512)->Unit(benchmark::
 void BM_EndToEndVerification(benchmark::State& state) {
   Fixture& f = Fixture::instance();
   core::MandiPass system(f.extractor);
-  system.enroll("user", f.recording);
+  if (!system.try_enroll("user", {&f.recording, 1}).ok()) {
+    state.SkipWithError("fixture recording has no usable vibration");
+    return;
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(system.verify("user", f.recording));
+    benchmark::DoNotOptimize(system.try_verify("user", f.recording));
   }
 }
 BENCHMARK(BM_EndToEndVerification)->Unit(benchmark::kMicrosecond);
@@ -229,10 +232,10 @@ int main(int argc, char** argv) {
   obs_tbl.add_row({"BiometricExtractor::extract", fmt_percent(extract_delta), "< 2%",
                    extract_delta < 0.02 ? "PASS" : "FAIL"});
   obs_tbl.print(std::cout);
-  bench::record_verdict("obs_overhead_prep", prep_delta < 0.02,
-                        "tracing on-vs-off delta " + fmt_percent(prep_delta));
-  bench::record_verdict("obs_overhead_extract", extract_delta < 0.02,
-                        "tracing on-vs-off delta " + fmt_percent(extract_delta));
+  bool ok = bench::record_verdict("obs_overhead_prep", prep_delta < 0.02,
+                                  "tracing on-vs-off delta " + fmt_percent(prep_delta));
+  ok &= bench::record_verdict("obs_overhead_extract", extract_delta < 0.02,
+                              "tracing on-vs-off delta " + fmt_percent(extract_delta));
 
   // Robustness tax (DESIGN.md §12): the same preprocessing body with the
   // NaN/Inf segment guard and output gate on vs off. Same interleaved
@@ -255,13 +258,13 @@ int main(int argc, char** argv) {
   robust_tbl.add_row({"Preprocessor::process robust_checks", fmt_percent(robust_delta),
                       "< 2%", robust_delta < 0.02 ? "PASS" : "FAIL"});
   robust_tbl.print(std::cout);
-  bench::record_verdict("robust_path_overhead", robust_delta < 0.02,
-                        "robust_checks on-vs-off delta " + fmt_percent(robust_delta));
+  ok &= bench::record_verdict("robust_path_overhead", robust_delta < 0.02,
+                              "robust_checks on-vs-off delta " + fmt_percent(robust_delta));
 
   std::cout << "\nlatency micro-benchmarks (this machine; the paper's "
                "bounds are for an earbud-class CPU):\n";
 
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -70,18 +70,22 @@ int main(int argc, char** argv) {
   const auto victim = people.sample();
   const auto attacker = people.sample();
   vibration::SessionRecorder victim_bud(victim, rng);
-  system.enroll("victim", victim_bud.record(vibration::SessionConfig{}));
+  const auto enrolment = victim_bud.record(vibration::SessionConfig{});
+  const auto enrolled = system.try_enroll("victim", {&enrolment, 1});
+  if (!enrolled.ok()) {
+    std::cerr << "enrolment failed: " << enrolled.error().message << "\n";
+    return 1;
+  }
 
   auto attempt = [&system](vibration::SessionRecorder& rec, vibration::SessionConfig cfg,
                            int tries) {
     int accepted = 0;
     int usable = 0;
     for (int i = 0; i < tries; ++i) {
-      try {
-        const auto d = system.verify("victim", rec.record(cfg));
+      const auto d = system.try_verify("victim", rec.record(cfg));
+      if (d.ok()) {
         ++usable;
-        accepted += (d && d->accepted) ? 1 : 0;
-      } catch (const SignalError&) {
+        accepted += d.value().accepted ? 1 : 0;
       }
     }
     std::cout << "    usable attempts: " << usable << "/" << tries

@@ -86,18 +86,27 @@ int main() {
   vibration::SessionRecorder alice_bud(alice, rng);
   vibration::SessionRecorder bob_bud(bob, rng);
 
-  system.enroll("alice", alice_bud.record(vibration::SessionConfig{}));
-  system.enroll("bob", bob_bud.record(vibration::SessionConfig{}));
+  auto enroll = [&system](const std::string& user, vibration::SessionRecorder& bud) {
+    const auto recording = bud.record(vibration::SessionConfig{});
+    return system.try_enroll(user, {&recording, 1}).ok();
+  };
+  if (!enroll("alice", alice_bud) || !enroll("bob", bob_bud)) {
+    std::cerr << "[earbud] enrolment failed: no usable vibration\n";
+    return 1;
+  }
   std::cout << "[earbud] enrolled users: " << system.store().size()
             << ", sealed template storage: " << system.store().storage_bytes() << " bytes\n";
 
   auto try_verify = [&system](const std::string& user, vibration::SessionRecorder& recorder) {
     for (int attempt = 0; attempt < 5; ++attempt) {
-      try {
-        return system.verify(user, recorder.record(vibration::SessionConfig{}));
-      } catch (const SignalError&) {
-        continue;  // ask the user to hum again
+      const auto d = system.try_verify(user, recorder.record(vibration::SessionConfig{}));
+      if (d.ok()) {
+        return std::optional<auth::Decision>(d.value());
       }
+      if (d.code() == common::ErrorCode::UnknownUser) {
+        break;
+      }
+      // A rejected capture: ask the user to hum again.
     }
     return std::optional<auth::Decision>{};
   };

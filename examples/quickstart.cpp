@@ -89,29 +89,27 @@ int main(int argc, char** argv) {
 
   std::cout << "Alice enrolls by voicing 'EMM' three times...\n";
   const auto enrolment = alice_phone.record_many(vibration::SessionConfig{}, 3);
-  system.enroll("alice", enrolment);
+  const auto enrolled = system.try_enroll("alice", enrolment);
+  if (!enrolled.ok()) {
+    std::cerr << "enrolment failed: " << enrolled.error().message << "\n";
+    return 1;
+  }
 
   // --- 3. Verification ---
   const int attempts = 10;
   int alice_ok = 0;
   for (int i = 0; i < attempts; ++i) {
-    try {
-      const auto d = system.verify("alice", alice_phone.record(vibration::SessionConfig{}));
-      alice_ok += (d && d->accepted) ? 1 : 0;
-    } catch (const SignalError&) {
-      // No usable vibration this attempt — a real UI would ask to retry.
-    }
+    // A rejected capture (no usable vibration) comes back as a typed
+    // error; a real UI would ask to retry.
+    const auto d = system.try_verify("alice", alice_phone.record(vibration::SessionConfig{}));
+    alice_ok += (d.ok() && d.value().accepted) ? 1 : 0;
   }
   std::cout << "Alice accepted:      " << alice_ok << "/" << attempts << " attempts\n";
   for (std::size_t m = 0; m < strangers.size(); ++m) {
     int ok = 0;
     for (int i = 0; i < attempts; ++i) {
-      try {
-        const auto d =
-            system.verify("alice", strangers[m].record(vibration::SessionConfig{}));
-        ok += (d && d->accepted) ? 1 : 0;
-      } catch (const SignalError&) {
-      }
+      const auto d = system.try_verify("alice", strangers[m].record(vibration::SessionConfig{}));
+      ok += (d.ok() && d.value().accepted) ? 1 : 0;
     }
     std::cout << "Stranger " << m + 1 << " accepted: " << ok << "/" << attempts
               << " attempts (posing as Alice)\n";

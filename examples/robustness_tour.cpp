@@ -70,7 +70,11 @@ int main(int argc, char** argv) {
   vibration::PopulationGenerator people(42);
   const auto user = people.sample();
   vibration::SessionRecorder bud(user, rng);
-  system.enroll("user", bud.record_many(vibration::SessionConfig{}, 5));
+  const auto enrolled = system.try_enroll("user", bud.record_many(vibration::SessionConfig{}, 5));
+  if (!enrolled.ok()) {
+    std::cerr << "enrolment failed: " << enrolled.error().message << "\n";
+    return 1;
+  }
   std::cout << "user enrolled with five hums under default conditions (static, right ear, "
                "MPU-9250)\n\n";
 
@@ -138,14 +142,11 @@ int main(int argc, char** argv) {
     int usable = 0;
     double dist_sum = 0.0;
     for (int i = 0; i < tries; ++i) {
-      try {
-        const auto d = system.verify("user", bud.record(cond.cfg));
-        if (d) {
-          ++usable;
-          accepted += d->accepted ? 1 : 0;
-          dist_sum += d->distance;
-        }
-      } catch (const SignalError&) {
+      const auto d = system.try_verify("user", bud.record(cond.cfg));
+      if (d.ok()) {
+        ++usable;
+        accepted += d.value().accepted ? 1 : 0;
+        dist_sum += d.value().distance;
       }
     }
     table.add_row({cond.name,

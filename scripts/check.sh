@@ -3,9 +3,9 @@
 #
 #   1. default preset: RelWithDebInfo build with the strict warning set and
 #      MANDIPASS_WARNINGS_AS_ERRORS=ON, then the full ctest suite
-#   2. bench smoke:    quick-mode bench_fig5_onset --json, gated by
-#      bench_compare against the committed baseline (counters/verdicts
-#      only; latency is machine-specific)
+#   2. bench gates:    scripts/bench_gates.sh — every bench with a
+#      committed bench/baselines/*.quick.json runs in quick mode, gated by
+#      bench_compare (counters/verdicts only; latency is machine-specific)
 #   3. asan preset:    ASan+UBSan instrumented build + ctest
 #   4. tsan preset:    TSan instrumented build + ctest
 #   5. clang-tidy over src/ (skipped if clang-tidy is not installed)
@@ -40,44 +40,8 @@ cmake --preset default >/dev/null
 cmake --build --preset default -j "$JOBS"
 ctest --preset default -j "$JOBS"
 
-step "bench smoke + bench_compare vs committed baseline"
-MANDIPASS_BENCH_QUICK=1 build/bench/bench_fig5_onset --json build/BENCH_bench_fig5_onset.json
-build/tools/bench_compare --skip-latency \
-  bench/baselines/bench_fig5_onset.quick.json build/BENCH_bench_fig5_onset.json
-MANDIPASS_BENCH_QUICK=1 build/bench/bench_faults --json build/BENCH_bench_faults.json
-build/tools/bench_compare --skip-latency \
-  bench/baselines/bench_faults.quick.json build/BENCH_bench_faults.json
-# bench_throughput's counters come from timed loops (iteration counts are
-# machine-dependent), so only its verdicts are gated — the important ones
-# being the compiled plan's 1e-5 equivalence and >= 2x speedup.
-MANDIPASS_BENCH_QUICK=1 build/bench/bench_throughput --json build/BENCH_bench_throughput.json
-build/tools/bench_compare --skip-latency --skip-counters \
-  bench/baselines/bench_throughput.quick.json build/BENCH_bench_throughput.json
-# bench_service's op tapes are fixed (per-thread fixed op counts, serial
-# cache prewarm), so its counters ARE machine-invariant and stay gated;
-# only latency histograms are skipped.
-MANDIPASS_BENCH_QUICK=1 build/bench/bench_service --json build/BENCH_bench_service.json
-build/tools/bench_compare --skip-latency \
-  bench/baselines/bench_service.quick.json build/BENCH_bench_service.json
-# bench_attacks trains its quick extractor inline (no model cache) and the
-# scenario matrix is serial, so the per-cell attack counters and security
-# verdicts gate exactly.
-MANDIPASS_BENCH_QUICK=1 build/bench/bench_attacks --json build/BENCH_bench_attacks.json
-build/tools/bench_compare --skip-latency \
-  bench/baselines/bench_attacks.quick.json build/BENCH_bench_attacks.json
-# bench_chaos drives the resilient engine through scripted fault storms on
-# fixed request tapes with a virtual clock, so shed/expired/degraded
-# counters and the resilience exit verdicts gate exactly; wall-clock
-# latency gauges are not compared.
-MANDIPASS_BENCH_QUICK=1 build/bench/bench_chaos --json build/BENCH_bench_chaos.json
-build/tools/bench_compare --skip-latency \
-  bench/baselines/bench_chaos.quick.json build/BENCH_bench_chaos.json
-# bench_quantized trains its quick extractor inline and runs fixed probe
-# counts, so its counters and the int8-plan verdicts (tier bit-identity,
-# drift/EER bounds, >= 2x scalar speedup) gate exactly.
-MANDIPASS_BENCH_QUICK=1 build/bench/bench_quantized --json build/BENCH_bench_quantized.json
-build/tools/bench_compare --skip-latency \
-  bench/baselines/bench_quantized.quick.json build/BENCH_bench_quantized.json
+step "bench gates: quick benches + bench_compare vs committed baselines"
+scripts/bench_gates.sh build
 
 if [ "$FAST" -eq 0 ]; then
   step "ASan+UBSan build + ctest"

@@ -33,41 +33,7 @@ job_build_werror() {
 job_bench_smoke() {
   # The benchmark's own arithmetic (percentiles, spreads, probe means).
   python3 perfbench/run.py --selftest &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_fig5_onset \
-    --json build/BENCH_bench_fig5_onset.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_fig5_onset.quick.json \
-      build/BENCH_bench_fig5_onset.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_faults \
-      --json build/BENCH_bench_faults.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_faults.quick.json \
-      build/BENCH_bench_faults.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_throughput \
-      --json build/BENCH_bench_throughput.json &&
-    build/tools/bench_compare --skip-latency --skip-counters \
-      bench/baselines/bench_throughput.quick.json \
-      build/BENCH_bench_throughput.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_service \
-      --json build/BENCH_bench_service.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_service.quick.json \
-      build/BENCH_bench_service.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_attacks \
-      --json build/BENCH_bench_attacks.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_attacks.quick.json \
-      build/BENCH_bench_attacks.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_chaos \
-      --json build/BENCH_bench_chaos.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_chaos.quick.json \
-      build/BENCH_bench_chaos.json &&
-    MANDIPASS_BENCH_QUICK=1 build/bench/bench_quantized \
-      --json build/BENCH_bench_quantized.json &&
-    build/tools/bench_compare --skip-latency \
-      bench/baselines/bench_quantized.quick.json \
-      build/BENCH_bench_quantized.json
+    scripts/bench_gates.sh build
 }
 
 # Mirrors the no-simd CI job: the generic int32 fallback tier must pass

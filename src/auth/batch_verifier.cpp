@@ -11,7 +11,6 @@
 
 #include "auth/gaussian_matrix.h"
 #include "common/error.h"
-#include "common/finite.h"
 #include "common/mutex.h"
 #include "common/obs.h"
 
@@ -91,29 +90,38 @@ const char* batch_status_name(BatchStatus status) {
   return "?";
 }
 
+BatchDecision rejected_decision(const common::Error& error) {
+  BatchDecision out;
+  out.status =
+      error.code == common::ErrorCode::UnknownUser ? BatchStatus::Unknown : BatchStatus::Invalid;
+  out.reason = error.code;
+  return out;
+}
+
+namespace {
+
+/// BatchVerifier's accounting of a gate reject: the typed decision plus
+/// its auth.batch.verify_unknown / verify_invalid counter.
+BatchDecision count_reject(const common::Error& error) {
+  if (error.code == common::ErrorCode::UnknownUser) {
+    MANDIPASS_OBS_COUNT("auth.batch.verify_unknown");
+  } else {
+    MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
+  }
+  return rejected_decision(error);
+}
+
+}  // namespace
+
 BatchDecision BatchVerifier::verify_one(const std::string& user,
                                         std::span<const float> raw_probe) const {
   MANDIPASS_OBS_TRACE(trace_verify, "auth.batch.verify_us");
   MANDIPASS_OBS_COUNT("auth.batch.verify_total");
-  BatchDecision out;
   // Totality gates: verify_one runs on pool workers, where a throw would
   // surface via parallel_for on the caller and void the whole batch. Any
-  // malformed request instead becomes an Invalid decision with a typed
-  // reason (and a fault.reject.* counter via make_error).
-  if (raw_probe.empty()) {
-    MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-    out.status = BatchStatus::Invalid;
-    out.reason = common::make_error(common::ErrorCode::InvalidInput, "empty probe").code;
-    return out;
-  }
-  for (float v : raw_probe) {
-    if (!common::is_finite(v)) {
-      MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      out.status = BatchStatus::Invalid;
-      out.reason =
-          common::make_error(common::ErrorCode::NonFiniteSample, "non-finite probe value").code;
-      return out;
-    }
+  // malformed request instead becomes a typed decision.
+  if (const auto reject = reject_probe(raw_probe)) {
+    return count_reject(*reject);
   }
   // Shared-lock window: copy the template and the operating threshold so
   // the decision is computed against one consistent generation even while
@@ -129,24 +137,10 @@ BatchDecision BatchVerifier::verify_one(const std::string& user,
     stored = lookup_locked(user);
     threshold = threshold_locked();
   }
-  if (!stored.has_value()) {
-    MANDIPASS_OBS_COUNT("auth.batch.verify_unknown");
-    out.status = BatchStatus::Unknown;
-    out.reason = common::make_error(common::ErrorCode::UnknownUser,
-                                    "no enrolment for user '" + user + "'")
-                     .code;
-    return out;
+  if (const auto reject = reject_template(user, stored ? &*stored : nullptr, raw_probe.size())) {
+    return count_reject(*reject);
   }
-  if (stored->data.size() != raw_probe.size()) {
-    // The cancelable transform is square: a wrong-dim probe can never
-    // match, and cosine_distance would assert on the size disagreement.
-    MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-    out.status = BatchStatus::Invalid;
-    out.reason = common::make_error(common::ErrorCode::DimensionMismatch,
-                                    "probe/template dimension mismatch for user '" + user + "'")
-                     .code;
-    return out;
-  }
+  BatchDecision out;
   out.known = true;
   out.key_version = stored->key_version;
   const auto g = cache_->get(stored->matrix_seed, raw_probe.size());
@@ -198,35 +192,17 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     }
     return cs;
   }
-  // Phase 1 — totality gates, identical to verify_one: malformed probes
-  // become Invalid decisions before any lock is taken.
+  // Phase 1 — the probe gate, identical to verify_one: malformed probes
+  // become typed decisions before any lock is taken.
   std::vector<std::size_t> valid;
   valid.reserve(indices.size());
   for (const std::size_t i : indices) {
     MANDIPASS_OBS_COUNT("auth.batch.verify_total");
-    const VerifyRequest& req = requests[i];
-    BatchDecision& out = decisions[i];
-    out = BatchDecision{};
-    if (req.raw_probe.empty()) {
-      MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      out.status = BatchStatus::Invalid;
-      out.reason = common::make_error(common::ErrorCode::InvalidInput, "empty probe").code;
+    if (const auto reject = reject_probe(requests[i].raw_probe)) {
+      decisions[i] = count_reject(*reject);
       continue;
     }
-    bool finite = true;
-    for (const float v : req.raw_probe) {
-      if (!common::is_finite(v)) {
-        finite = false;
-        break;
-      }
-    }
-    if (!finite) {
-      MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      out.status = BatchStatus::Invalid;
-      out.reason =
-          common::make_error(common::ErrorCode::NonFiniteSample, "non-finite probe value").code;
-      continue;
-    }
+    decisions[i] = BatchDecision{};
     valid.push_back(i);
   }
   // Phase 2 — ONE shared-lock window snapshots every template plus the
@@ -247,31 +223,17 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     }
     threshold = threshold_locked();
   }
-  // Phase 3 — resolve Unknown / dimension mismatches, group the rest by
-  // (matrix_seed, dim). std::map keys keep group order deterministic.
+  // Phase 3 — the template gate, then group the rest by (matrix_seed,
+  // probe dim). std::map keys keep group order deterministic.
   std::map<std::pair<std::uint64_t, std::size_t>, std::vector<std::size_t>> groups;
   for (std::size_t k = 0; k < valid.size(); ++k) {
-    const std::size_t i = valid[k];
-    const VerifyRequest& req = requests[i];
-    BatchDecision& out = decisions[i];
-    if (!snaps[k].has_value()) {
-      MANDIPASS_OBS_COUNT("auth.batch.verify_unknown");
-      out.status = BatchStatus::Unknown;
-      out.reason = common::make_error(common::ErrorCode::UnknownUser,
-                                      "no enrolment for user '" + req.user + "'")
-                       .code;
+    const VerifyRequest& req = requests[valid[k]];
+    const StoredTemplate* stored = snaps[k] ? &*snaps[k] : nullptr;
+    if (const auto reject = reject_template(req.user, stored, req.raw_probe.size())) {
+      decisions[valid[k]] = count_reject(*reject);
       continue;
     }
-    if (snaps[k]->data.size() != req.raw_probe.size()) {
-      MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      out.status = BatchStatus::Invalid;
-      out.reason =
-          common::make_error(common::ErrorCode::DimensionMismatch,
-                             "probe/template dimension mismatch for user '" + req.user + "'")
-              .code;
-      continue;
-    }
-    groups[{snaps[k]->matrix_seed, req.raw_probe.size()}].push_back(k);
+    groups[{stored->matrix_seed, req.raw_probe.size()}].push_back(k);
   }
   // Phase 4 — one packed-GEMM tile per group: pack the member probes
   // contiguously and stream the group's matrix once per kXTile probes.
@@ -280,7 +242,6 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
   const Verifier v(threshold);
   std::vector<float> xs;
   std::vector<float> transformed;
-  std::vector<std::size_t> live;
   bool budget_gone = false;
   for (const auto& [key, members] : groups) {
     const auto& [seed, dim] = key;
@@ -296,45 +257,24 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
       }
       continue;
     }
+    // The group key carries the probe dim and get() returns a matrix of
+    // exactly that dim, so every member rides this group's tile.
     const auto g = cache_->get(seed, dim);
-    // Per-member dimension guard: totality here must not depend on the
-    // grouping key happening to carry the probe dimension. A member whose
-    // probe cannot ride this group's tile gets its own typed Invalid
-    // decision instead of the whole group dying on transform_batch's
-    // precondition.
-    live.clear();
-    for (const std::size_t k : members) {
-      const std::size_t i = valid[k];
-      if (requests[i].raw_probe.size() == g->dim()) {
-        live.push_back(k);
-        continue;
-      }
-      MANDIPASS_OBS_COUNT("auth.batch.verify_invalid");
-      BatchDecision& out = decisions[i];
-      out.status = BatchStatus::Invalid;
-      out.reason = common::make_error(
-                       common::ErrorCode::DimensionMismatch,
-                       "probe/matrix dimension mismatch for user '" + requests[i].user + "'")
-                       .code;
-    }
-    if (live.empty()) {
-      continue;
-    }
     cs.groups += 1;
-    if (live.size() >= 2) {
-      cs.coalesced += live.size();
+    if (members.size() >= 2) {
+      cs.coalesced += members.size();
     } else {
       cs.singletons += 1;
     }
-    xs.resize(live.size() * dim);
-    transformed.resize(live.size() * dim);
-    for (std::size_t m = 0; m < live.size(); ++m) {
-      const auto& probe = requests[valid[live[m]]].raw_probe;
+    xs.resize(members.size() * dim);
+    transformed.resize(members.size() * dim);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const auto& probe = requests[valid[members[m]]].raw_probe;
       std::copy(probe.begin(), probe.end(), xs.begin() + static_cast<std::ptrdiff_t>(m * dim));
     }
-    g->transform_batch(xs, live.size(), transformed);
-    for (std::size_t m = 0; m < live.size(); ++m) {
-      const std::size_t k = live[m];
+    g->transform_batch(xs, members.size(), transformed);
+    for (std::size_t m = 0; m < members.size(); ++m) {
+      const std::size_t k = members[m];
       BatchDecision& out = decisions[valid[k]];
       out.known = true;
       out.key_version = snaps[k]->key_version;

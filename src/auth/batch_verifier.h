@@ -76,6 +76,11 @@ struct BatchDecision {
   bool degraded = false;
 };
 
+/// The typed decision for a request the gates rejected (reject_probe /
+/// reject_template in auth/verifier.h): Unknown for UnknownUser, Invalid
+/// for every other code.
+BatchDecision rejected_decision(const common::Error& error);
+
 /// Aggregate latency / throughput statistics of one verify_batch call.
 struct BatchStats {
   std::size_t requests = 0;

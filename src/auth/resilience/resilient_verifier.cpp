@@ -9,7 +9,6 @@
 
 #include "auth/verifier.h"
 #include "common/error.h"
-#include "common/finite.h"
 #include "common/obs.h"
 
 namespace mandipass::auth::resilience {
@@ -46,39 +45,18 @@ ResilientVerifier::ResilientVerifier(std::size_t shards, ResilienceConfig config
 BatchDecision ResilientVerifier::degraded_one(std::size_t s, const VerifyRequest& request,
                                               std::size_t* degraded_served,
                                               std::size_t* degraded_missed) {
-  BatchDecision out;
-  // Totality gates mirror BatchVerifier::verify_one so a degraded shard
-  // classifies malformed requests identically to a healthy one.
-  if (request.raw_probe.empty()) {
-    out.status = BatchStatus::Invalid;
-    out.reason = common::make_error(common::ErrorCode::InvalidInput, "empty probe").code;
-    return out;
-  }
-  for (const float v : request.raw_probe) {
-    if (!common::is_finite(v)) {
-      out.status = BatchStatus::Invalid;
-      out.reason =
-          common::make_error(common::ErrorCode::NonFiniteSample, "non-finite probe value").code;
-      return out;
-    }
+  // The shared gates classify malformed requests identically to a
+  // healthy shard; only verify_one's auth.batch.* accounting is absent.
+  if (const auto reject = reject_probe(request.raw_probe)) {
+    return rejected_decision(*reject);
   }
   const BatchVerifier& shard = engine_.shard(s);
   const auto stored = shard.snapshot(request.user);
-  if (!stored.has_value()) {
-    out.status = BatchStatus::Unknown;
-    out.reason = common::make_error(common::ErrorCode::UnknownUser,
-                                    "no enrolment for user '" + request.user + "'")
-                     .code;
-    return out;
+  if (const auto reject =
+          reject_template(request.user, stored ? &*stored : nullptr, request.raw_probe.size())) {
+    return rejected_decision(*reject);
   }
-  if (stored->data.size() != request.raw_probe.size()) {
-    out.status = BatchStatus::Invalid;
-    out.reason = common::make_error(common::ErrorCode::DimensionMismatch,
-                                    "probe/template dimension mismatch for user '" +
-                                        request.user + "'")
-                     .code;
-    return out;
-  }
+  BatchDecision out;
   // Degraded restriction: serve only matrices the cache already holds.
   // peek never builds (the breaker is open because the shard's
   // dependencies are suspect — constructing fresh state is exactly what

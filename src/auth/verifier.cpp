@@ -24,45 +24,34 @@ Decision Verifier::verify(std::span<const float> probe, std::span<const float> r
   return d;
 }
 
-std::optional<Decision> Verifier::verify_user(const TemplateStore& store, const std::string& user,
-                                              std::span<const float> raw_probe) const {
-  const auto stored = store.lookup(user);
-  if (!stored.has_value()) {
-    return std::nullopt;
-  }
-  const GaussianMatrix g(stored->matrix_seed, raw_probe.size());
-  const auto transformed = g.transform(raw_probe);
-  return verify(transformed, stored->data);
-}
-
-common::Result<Decision> Verifier::try_verify_user(const TemplateStore& store,
-                                                   const std::string& user,
-                                                   std::span<const float> raw_probe) const {
+std::optional<common::Error> reject_probe(std::span<const float> probe) {
   using common::ErrorCode;
-  if (raw_probe.empty()) {
+  if (probe.empty()) {
     return common::make_error(ErrorCode::InvalidInput, "empty probe vector");
   }
-  for (std::size_t i = 0; i < raw_probe.size(); ++i) {
-    if (!common::is_finite(raw_probe[i])) {
+  for (std::size_t i = 0; i < probe.size(); ++i) {
+    if (!common::is_finite(probe[i])) {
       return common::make_error(ErrorCode::NonFiniteSample,
                                 "non-finite probe value at index " + std::to_string(i));
     }
   }
-  const auto stored = store.lookup(user);
-  if (!stored.has_value()) {
+  return std::nullopt;
+}
+
+std::optional<common::Error> reject_template(const std::string& user,
+                                             const StoredTemplate* stored,
+                                             std::size_t probe_dim) {
+  using common::ErrorCode;
+  if (stored == nullptr) {
     return common::make_error(ErrorCode::UnknownUser, "no enrolment for user '" + user + "'");
   }
-  // The cancelable transform is square, so the transformed probe has the
-  // probe's own dimension; catch the disagreement before cosine_distance
-  // would assert on it.
-  if (stored->data.size() != raw_probe.size()) {
+  if (stored->data.size() != probe_dim) {
     return common::make_error(ErrorCode::DimensionMismatch,
-                              "probe dimension " + std::to_string(raw_probe.size()) +
-                                  " != template dimension " + std::to_string(stored->data.size()));
+                              "probe dimension " + std::to_string(probe_dim) +
+                                  " != template dimension " + std::to_string(stored->data.size()) +
+                                  " for user '" + user + "'");
   }
-  const GaussianMatrix g(stored->matrix_seed, raw_probe.size());
-  const auto transformed = g.transform(raw_probe);
-  return verify(transformed, stored->data);
+  return std::nullopt;
 }
 
 }  // namespace mandipass::auth

@@ -1,12 +1,11 @@
-// Threshold decision + verification workflow glue (Section III's
-// "similarity calculation" module).
+// Threshold decision plus the request gates every verification path
+// shares (Section III's "similarity calculation" module).
 #pragma once
 
 #include <optional>
 #include <span>
 #include <string>
 
-#include "auth/gaussian_matrix.h"
 #include "auth/metrics.h"
 #include "auth/template_store.h"
 #include "common/result.h"
@@ -27,24 +26,30 @@ class Verifier {
   /// Compares two already-transformed (cancelable) vectors.
   Decision verify(std::span<const float> probe, std::span<const float> reference) const;
 
-  /// Full store-backed flow: transform `raw_probe` with the user's current
-  /// Gaussian matrix and compare against the sealed template. Returns
-  /// nullopt when the user is not enrolled.
-  std::optional<Decision> verify_user(const TemplateStore& store, const std::string& user,
-                                      std::span<const float> raw_probe) const;
-
-  /// Typed-error variant (DESIGN.md §12): total over its inputs. Empty
-  /// probes, non-finite probe values, unknown users and probes whose
-  /// dimension disagrees with the sealed template all come back as a
-  /// structured reject reason instead of throwing or returning nullopt.
-  common::Result<Decision> try_verify_user(const TemplateStore& store, const std::string& user,
-                                           std::span<const float> raw_probe) const;
-
   double threshold() const { return threshold_; }
   void set_threshold(double t);
 
  private:
   double threshold_;
 };
+
+/// Request gates (DESIGN.md §12), the one definition every verification
+/// path calls: the facade, BatchVerifier's per-request and coalesced
+/// paths, and the resilient layer's degraded mode. Each returns the
+/// typed reject reason, built through make_error (one fault.reject.<code>
+/// per reject), or nullopt — without allocating — when the request
+/// passes. Callers keep their own counters and status mapping.
+///
+/// Probe gate, run before any lock: an empty probe is InvalidInput, a
+/// NaN/Inf value is NonFiniteSample.
+std::optional<common::Error> reject_probe(std::span<const float> probe);
+
+/// Template gate, run on the snapshot: no template (null) is
+/// UnknownUser; a template whose dimension differs from the probe's is
+/// DimensionMismatch (the cancelable transform is square, so such a
+/// probe can never match and cosine_distance would assert on it).
+std::optional<common::Error> reject_template(const std::string& user,
+                                             const StoredTemplate* stored,
+                                             std::size_t probe_dim);
 
 }  // namespace mandipass::auth

@@ -20,10 +20,11 @@
 // "fault.reject.<code>" obs counter, so degradation is visible in every
 // BENCH_*.json report without call sites doing their own accounting.
 //
-// The legacy throwing APIs (Preprocessor::process, MandiPass::verify, …)
-// remain as thin wrappers that raise() the error, so existing callers and
-// tests keep their exception contract. MANDIPASS_EXPECTS stays the tool
-// for genuine precondition violations (programmer error).
+// Two throwing entry points remain as thin wrappers that raise() the
+// error: Preprocessor::process (training-time data collection) and
+// MandiPass::rekey (an existing caller catches its SignalError); DESIGN.md
+// §12 gives the reasons. MANDIPASS_EXPECTS stays the tool for genuine
+// precondition violations (programmer error).
 #pragma once
 
 #include <string>

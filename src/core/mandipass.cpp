@@ -14,11 +14,6 @@ MandiPass::MandiPass(std::shared_ptr<BiometricExtractor> extractor, MandiPassCon
   MANDIPASS_EXPECTS(extractor_ != nullptr);
 }
 
-std::vector<float> MandiPass::extract_print(const imu::RawRecording& recording) {
-  const SignalArray array = prep_.process(recording);
-  return extractor_->extract(build_gradient_array(array));
-}
-
 common::Result<std::vector<float>> MandiPass::try_extract_print(
     const imu::RawRecording& recording) {
   auto array = prep_.try_process(recording);
@@ -63,18 +58,6 @@ common::Result<std::size_t> MandiPass::try_enroll(const std::string& user,
   return usable;
 }
 
-void MandiPass::enroll(const std::string& user, std::span<const imu::RawRecording> recordings) {
-  MANDIPASS_EXPECTS(!recordings.empty());
-  auto result = try_enroll(user, recordings);
-  if (!result.ok()) {
-    common::raise(result.error());  // mandilint: allow(no-throw-in-datapath) -- legacy throwing wrapper; try_enroll is the typed path
-  }
-}
-
-void MandiPass::enroll(const std::string& user, const imu::RawRecording& recording) {
-  seal_template(user, extract_print(recording));
-}
-
 void MandiPass::seal_template(const std::string& user, const std::vector<float>& print) {
   const std::uint64_t seed = key_rng_();
   const auth::GaussianMatrix g(seed, print.size());
@@ -91,32 +74,35 @@ void MandiPass::seal_template(const std::string& user, const std::vector<float>&
 
 common::Result<auth::Decision> MandiPass::try_verify(const std::string& user,
                                                      const imu::RawRecording& recording) {
+  // The template gate's UnknownUser reject, applied before the capture is
+  // processed so an unenrolled id costs no extraction.
   if (!store_.contains(user)) {
-    return common::make_error(common::ErrorCode::UnknownUser,
-                              "no enrolment for user '" + user + "'");
+    return std::move(*auth::reject_template(user, nullptr, 0));
   }
   auto print = try_extract_print(recording);
   if (!print.ok()) {
     return print.error();
   }
-  return verifier_.try_verify_user(store_, user, print.value());
-}
-
-std::optional<auth::Decision> MandiPass::verify(const std::string& user,
-                                                const imu::RawRecording& recording) {
-  auto result = try_verify(user, recording);
-  if (result.ok()) {
-    return result.value();
+  const std::vector<float>& probe = print.value();
+  if (auto reject = auth::reject_probe(probe)) {
+    return std::move(*reject);
   }
-  if (result.code() == common::ErrorCode::UnknownUser) {
-    return std::nullopt;  // the documented legacy contract for unknown ids
+  const auto stored = store_.lookup(user);
+  if (auto reject = auth::reject_template(user, stored ? &*stored : nullptr, probe.size())) {
+    return std::move(*reject);
   }
-  common::raise(result.error());  // mandilint: allow(no-throw-in-datapath) -- legacy throwing wrapper; try_verify is the typed path
+  const auth::GaussianMatrix g(stored->matrix_seed, probe.size());
+  return verifier_.verify(g.transform(probe), stored->data);
 }
 
 void MandiPass::rekey(const std::string& user, const imu::RawRecording& recording) {
   MANDIPASS_EXPECTS(store_.contains(user));
-  enroll(user, recording);  // enroll() bumps key_version and draws a new seed
+  // A one-recording mean is the print itself (0 + x, then / 1, both
+  // exact), so the sealed bits are those of the recording's own print.
+  auto result = try_enroll(user, {&recording, 1});
+  if (!result.ok()) {
+    common::raise(result.error());  // mandilint: allow(no-throw-in-datapath) -- rekey keeps its throwing contract for existing callers; try_enroll is the typed path
+  }
 }
 
 }  // namespace mandipass::core

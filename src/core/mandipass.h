@@ -1,9 +1,12 @@
 // The MandiPass facade: the public API a device integrator uses.
 //
-//   MandiPass system(extractor, threshold);
-//   system.enroll("alice", raw_recording);                 // registration
-//   auto decision = system.verify("alice", raw_recording); // verification
-//   system.rekey("alice", raw_recording);                  // cancel & renew
+//   MandiPass system(extractor, config);
+//   auto sealed = system.try_enroll("alice", raw_recordings);  // registration
+//   auto decision = system.try_verify("alice", raw_recording); // verification
+//   system.rekey("alice", raw_recording);                      // cancel & renew
+//
+// Every data-dependent failure comes back as a typed common::Error reject
+// reason (DESIGN.md §12); check ok() and route on code().
 //
 // Internally: Section IV preprocessing -> gradient array -> two-branch CNN
 // MandiblePrint -> Gaussian cancelable transform -> sealed template store
@@ -35,42 +38,32 @@ class MandiPass {
   /// provider); MandiPass never trains on end-user data.
   MandiPass(std::shared_ptr<BiometricExtractor> extractor, MandiPassConfig config = {});
 
-  /// Registers a user from one raw recording. Throws SignalError when the
-  /// recording contains no usable vibration. Re-enrolling overwrites.
-  void enroll(const std::string& user, const imu::RawRecording& recording);
-
-  /// Registers a user from several recordings (the template is the mean
-  /// MandiblePrint, which has less session noise than any single probe).
-  /// Recordings without a usable vibration are skipped; throws
-  /// SignalError when none are usable.
-  void enroll(const std::string& user, std::span<const imu::RawRecording> recordings);
-
-  /// Verifies a request. Returns nullopt for unknown users; throws
-  /// SignalError when the recording contains no usable vibration.
-  std::optional<auth::Decision> verify(const std::string& user,
-                                       const imu::RawRecording& recording);
-
-  /// Cancels the user's compromised template and re-enrolls with a fresh
-  /// Gaussian matrix (the Section VI replay-attack response).
-  void rekey(const std::string& user, const imu::RawRecording& recording);
-
-  /// Typed-error variants (DESIGN.md §12): every data-dependent failure —
-  /// degraded capture, unknown user — comes back as a common::Error
-  /// reject reason; nothing in these paths throws on malformed input.
-  /// try_enroll returns how many recordings were usable; when none are,
-  /// the error carries the last capture's reject reason.
+  /// Registers a user from one or more recordings; the template is the
+  /// mean MandiblePrint, which has less session noise than any single
+  /// probe. Recordings without a usable vibration are skipped. Returns
+  /// how many were usable; when none are, the error carries the last
+  /// capture's reject reason. Re-enrolling overwrites and bumps the key
+  /// version. Nothing here throws on malformed input.
   common::Result<std::size_t> try_enroll(const std::string& user,
                                          std::span<const imu::RawRecording> recordings);
+
+  /// Verifies a request: UnknownUser when the id has no enrolment (checked
+  /// before the capture is processed), else the capture's or the probe's
+  /// reject reason, else the threshold decision.
   common::Result<auth::Decision> try_verify(const std::string& user,
                                             const imu::RawRecording& recording);
+
+  /// Raw MandiblePrint of a recording (before the cancelable transform).
   common::Result<std::vector<float>> try_extract_print(const imu::RawRecording& recording);
+
+  /// Cancels the user's compromised template and re-enrolls from one
+  /// recording with a fresh Gaussian matrix (the Section VI replay-attack
+  /// response). The user must be enrolled; throws SignalError when the
+  /// recording contains no usable vibration.
+  void rekey(const std::string& user, const imu::RawRecording& recording);
 
   /// Removes a user entirely.
   bool revoke(const std::string& user) { return store_.revoke(user); }
-
-  /// Raw MandiblePrint of a recording (before the cancelable transform) —
-  /// used by benches and tests.
-  std::vector<float> extract_print(const imu::RawRecording& recording);
 
   auth::TemplateStore& store() { return store_; }
   const auth::Verifier& verifier() const { return verifier_; }

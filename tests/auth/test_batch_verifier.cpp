@@ -133,25 +133,23 @@ TEST(BatchVerifier, GenuineAcceptedImpostorRejected) {
 
 TEST(BatchVerifier, MatchesVerifierVerifyUser) {
   // The concurrent engine must agree bit-for-bit with the serial
-  // store-backed flow (which rebuilds the Gaussian matrix per call —
-  // the engine's cache must not change the math).
+  // reference — a Gaussian matrix rebuilt from the seed, then the
+  // threshold policy — so the engine's cache must not change the math.
   BatchVerifier engine;
-  TemplateStore store;
-  Verifier verifier;
+  const Verifier verifier;
   Rng rng(3);
   const auto print = random_print(rng);
   const auto tmpl = make_template(print, 123, 4);
   engine.enroll("u", tmpl);
-  store.enroll("u", tmpl);
 
   auto probe = print;
   probe[0] += 0.25f;
   const BatchDecision d = engine.verify_one("u", probe);
-  const auto reference = verifier.verify_user(store, "u", probe);
+  const GaussianMatrix g(tmpl.matrix_seed, probe.size());
+  const Decision reference = verifier.verify(g.transform(probe), tmpl.data);
   ASSERT_TRUE(d.known);
-  ASSERT_TRUE(reference.has_value());
-  EXPECT_EQ(d.decision.accepted, reference->accepted);
-  EXPECT_EQ(d.decision.distance, reference->distance);
+  EXPECT_EQ(d.decision.accepted, reference.accepted);
+  EXPECT_EQ(d.decision.distance, reference.distance);
 }
 
 TEST(BatchVerifier, RevokeAndRekey) {

@@ -60,7 +60,9 @@ TEST(MultiEnroll, AveragesUsableRecordings) {
   vibration::PopulationGenerator pop(10);
   vibration::SessionRecorder rec(pop.sample(), rng);
   const auto recordings = rec.record_many(vibration::SessionConfig{}, 4);
-  system.enroll("alice", recordings);
+  const auto enrolled = system.try_enroll("alice", recordings);
+  ASSERT_TRUE(enrolled.ok());
+  EXPECT_EQ(enrolled.value(), 4u);
   EXPECT_TRUE(system.store().lookup("alice").has_value());
 }
 
@@ -77,11 +79,13 @@ TEST(MultiEnroll, SkipsUnusableKeepsGood) {
     axis.assign(300, 0.0);
   }
   recordings.push_back(silent);  // unusable, must be skipped
-  system.enroll("alice", recordings);
+  const auto enrolled = system.try_enroll("alice", recordings);
+  ASSERT_TRUE(enrolled.ok());
+  EXPECT_LT(enrolled.value(), recordings.size());  // the silent capture is not counted
   EXPECT_TRUE(system.store().lookup("alice").has_value());
 }
 
-TEST(MultiEnroll, AllUnusableThrows) {
+TEST(MultiEnroll, AllUnusableIsATypedCaptureReject) {
   auto extractor = std::make_shared<BiometricExtractor>(tiny_config());
   MandiPass system(extractor);
   imu::RawRecording silent;
@@ -90,14 +94,18 @@ TEST(MultiEnroll, AllUnusableThrows) {
     axis.assign(300, 0.0);
   }
   const std::vector<imu::RawRecording> recordings{silent, silent};
-  EXPECT_THROW(system.enroll("alice", recordings), SignalError);
+  const auto enrolled = system.try_enroll("alice", recordings);
+  ASSERT_FALSE(enrolled.ok());
+  EXPECT_EQ(enrolled.code(), common::ErrorCode::OnsetNotFound);
+  EXPECT_FALSE(system.store().contains("alice"));
 }
 
-TEST(MultiEnroll, EmptyListThrows) {
+TEST(MultiEnroll, EmptyListIsInvalidInput) {
   auto extractor = std::make_shared<BiometricExtractor>(tiny_config());
   MandiPass system(extractor);
-  EXPECT_THROW(system.enroll("alice", std::span<const imu::RawRecording>{}),
-               PreconditionError);
+  const auto enrolled = system.try_enroll("alice", std::span<const imu::RawRecording>{});
+  ASSERT_FALSE(enrolled.ok());
+  EXPECT_EQ(enrolled.code(), common::ErrorCode::InvalidInput);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <memory>
 
+#include "common/crc32.h"
 #include "common/error.h"
 
 namespace mandipass::core {
@@ -12,6 +13,20 @@ namespace {
 /// Fixture with an UNTRAINED tiny extractor: enough for API-level tests
 /// (genuine accept/impostor reject quality is covered by the integration
 /// suite with a trained model).
+common::Result<std::size_t> enroll(MandiPass& mp, const std::string& user,
+                                   const imu::RawRecording& recording) {
+  return mp.try_enroll(user, {&recording, 1});
+}
+
+imu::RawRecording silent_recording() {
+  imu::RawRecording silent;
+  silent.sample_rate_hz = 350.0;
+  for (auto& axis : silent.axes) {
+    axis.assign(300, 0.0);
+  }
+  return silent;
+}
+
 class MandiPassTest : public ::testing::Test {
  protected:
   MandiPassTest() : rng_(11), pop_(2024) {
@@ -34,15 +49,17 @@ class MandiPassTest : public ::testing::Test {
 TEST_F(MandiPassTest, EnrollStoresTemplate) {
   MandiPass mp(extractor_);
   const auto person = pop_.sample();
-  mp.enroll("alice", record(person));
+  ASSERT_TRUE(enroll(mp, "alice", record(person)).ok());
   EXPECT_EQ(mp.store().size(), 1u);
   EXPECT_TRUE(mp.store().lookup("alice").has_value());
 }
 
-TEST_F(MandiPassTest, VerifyUnknownUserIsNullopt) {
+TEST_F(MandiPassTest, VerifyUnknownUserIsTypedUnknownUser) {
   MandiPass mp(extractor_);
   const auto person = pop_.sample();
-  EXPECT_FALSE(mp.verify("ghost", record(person)).has_value());
+  const auto d = mp.try_verify("ghost", record(person));
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.code(), common::ErrorCode::UnknownUser);
 }
 
 TEST_F(MandiPassTest, TryVerifyChecksEnrolmentBeforeCapture) {
@@ -50,16 +67,12 @@ TEST_F(MandiPassTest, TryVerifyChecksEnrolmentBeforeCapture) {
   // unenrolled id still reports UnknownUser, and only an enrolled id
   // gets as far as the capture's own reject reason.
   MandiPass mp(extractor_);
-  imu::RawRecording silent;
-  silent.sample_rate_hz = 350.0;
-  for (auto& axis : silent.axes) {
-    axis.assign(300, 0.0);
-  }
+  const imu::RawRecording silent = silent_recording();
   const auto unknown = mp.try_verify("ghost", silent);
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.code(), common::ErrorCode::UnknownUser);
 
-  mp.enroll("alice", record(pop_.sample()));
+  ASSERT_TRUE(enroll(mp, "alice", record(pop_.sample())).ok());
   const auto known = mp.try_verify("alice", silent);
   ASSERT_FALSE(known.ok());
   EXPECT_NE(known.code(), common::ErrorCode::UnknownUser);
@@ -68,17 +81,17 @@ TEST_F(MandiPassTest, TryVerifyChecksEnrolmentBeforeCapture) {
 TEST_F(MandiPassTest, VerifyKnownUserReturnsDecision) {
   MandiPass mp(extractor_);
   const auto person = pop_.sample();
-  mp.enroll("alice", record(person));
-  const auto d = mp.verify("alice", record(person));
-  ASSERT_TRUE(d.has_value());
-  EXPECT_GE(d->distance, 0.0);
-  EXPECT_LE(d->distance, 2.0);
+  ASSERT_TRUE(enroll(mp, "alice", record(person)).ok());
+  const auto d = mp.try_verify("alice", record(person));
+  ASSERT_TRUE(d.ok());
+  EXPECT_GE(d.value().distance, 0.0);
+  EXPECT_LE(d.value().distance, 2.0);
 }
 
 TEST_F(MandiPassTest, RekeyChangesMatrixSeedAndBumpsVersion) {
   MandiPass mp(extractor_);
   const auto person = pop_.sample();
-  mp.enroll("alice", record(person));
+  ASSERT_TRUE(enroll(mp, "alice", record(person)).ok());
   const auto before = mp.store().lookup("alice");
   mp.rekey("alice", record(person));
   const auto after = mp.store().lookup("alice");
@@ -97,26 +110,39 @@ TEST_F(MandiPassTest, RekeyUnknownUserThrows) {
 TEST_F(MandiPassTest, RevokeRemovesUser) {
   MandiPass mp(extractor_);
   const auto person = pop_.sample();
-  mp.enroll("alice", record(person));
+  ASSERT_TRUE(enroll(mp, "alice", record(person)).ok());
   EXPECT_TRUE(mp.revoke("alice"));
-  EXPECT_FALSE(mp.verify("alice", record(person)).has_value());
+  const auto d = mp.try_verify("alice", record(person));
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.code(), common::ErrorCode::UnknownUser);
 }
 
 TEST_F(MandiPassTest, ExtractPrintHasEmbeddingDim) {
   MandiPass mp(extractor_);
   const auto person = pop_.sample();
-  const auto print = mp.extract_print(record(person));
-  EXPECT_EQ(print.size(), 32u);
+  const auto print = mp.try_extract_print(record(person));
+  ASSERT_TRUE(print.ok());
+  EXPECT_EQ(print.value().size(), 32u);
 }
 
-TEST_F(MandiPassTest, SilentRecordingThrowsSignalError) {
+TEST_F(MandiPassTest, SilentRecordingIsATypedCaptureReject) {
   MandiPass mp(extractor_);
-  imu::RawRecording silent;
-  silent.sample_rate_hz = 350.0;
-  for (auto& axis : silent.axes) {
-    axis.assign(300, 0.0);
-  }
-  EXPECT_THROW(mp.enroll("alice", silent), SignalError);
+  const auto enrolled = enroll(mp, "alice", silent_recording());
+  ASSERT_FALSE(enrolled.ok());
+  EXPECT_EQ(enrolled.code(), common::ErrorCode::OnsetNotFound);
+  EXPECT_EQ(mp.store().size(), 0u);
+}
+
+TEST_F(MandiPassTest, RekeyWithSilentRecordingThrowsSignalError) {
+  MandiPass mp(extractor_);
+  ASSERT_TRUE(enroll(mp, "alice", record(pop_.sample())).ok());
+  const auto before = mp.store().lookup("alice");
+  EXPECT_THROW(mp.rekey("alice", silent_recording()), SignalError);
+  // A rejected capture leaves the sealed template and its key untouched.
+  const auto after = mp.store().lookup("alice");
+  ASSERT_TRUE(before.has_value() && after.has_value());
+  EXPECT_EQ(after->matrix_seed, before->matrix_seed);
+  EXPECT_EQ(after->key_version, before->key_version);
 }
 
 TEST_F(MandiPassTest, ThresholdAdjustable) {
@@ -135,9 +161,44 @@ TEST_F(MandiPassTest, TemplatesOfSameUserDifferAcrossEnrollments) {
   MandiPass mp(extractor_);
   const auto person = pop_.sample();
   const auto rec = record(person);
-  mp.enroll("a", rec);
-  mp.enroll("b", rec);
+  ASSERT_TRUE(enroll(mp, "a", rec).ok());
+  ASSERT_TRUE(enroll(mp, "b", rec).ok());
   EXPECT_NE(mp.store().lookup("a")->data, mp.store().lookup("b")->data);
+}
+
+// Pinned sealed bits: templates sealed from one recording, from the mean
+// of three, and by a following rekey. The pins were taken from separate
+// single-recording and multi-recording enrolment paths, so a change to the
+// enrolment arithmetic or to the order of key draws fails here. Matrix
+// seeds depend only on key_seed; the data checksums also depend on the
+// float kernels the libraries compile for (-march=native) and were taken
+// on x86-64 with AVX-512.
+TEST_F(MandiPassTest, SealedTemplateBitsArePinned) {
+  struct Pin {
+    std::uint64_t seed;
+    std::uint32_t crc;
+    std::uint32_t key_version;
+  };
+  const auto check = [](const std::optional<auth::StoredTemplate>& t, const Pin& pin) {
+    ASSERT_TRUE(t.has_value());
+    EXPECT_EQ(t->matrix_seed, pin.seed);
+    EXPECT_EQ(t->key_version, pin.key_version);
+    EXPECT_EQ(common::crc32(t->data.data(), t->data.size() * sizeof(float)), pin.crc);
+  };
+  vibration::SessionRecorder recorder(pop_.sample(), rng_);
+  const auto recordings = recorder.record_many(vibration::SessionConfig{}, 3);
+  MandiPassConfig config;
+  config.key_seed = 0x5EED;
+  MandiPass mp(extractor_, config);
+
+  ASSERT_TRUE(enroll(mp, "single", recordings[0]).ok());
+  const auto mean = mp.try_enroll("mean", recordings);
+  ASSERT_TRUE(mean.ok());
+  EXPECT_EQ(mean.value(), 3u);
+  check(mp.store().lookup("single"), {0x8eb2871b24ae0c00ULL, 0xb0b1def8U, 0});
+  check(mp.store().lookup("mean"), {0xfdd2c14d7560f757ULL, 0xc5009adfU, 0});
+  mp.rekey("single", recordings[1]);
+  check(mp.store().lookup("single"), {0x17460bdf1e7c3333ULL, 0xf5700af7U, 1});
 }
 
 }  // namespace

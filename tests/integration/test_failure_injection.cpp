@@ -7,6 +7,7 @@
 #include <memory>
 #include <sstream>
 
+#include "auth/gaussian_matrix.h"
 #include "common/error.h"
 #include "core/mandipass.h"
 #include "core/preprocessor.h"
@@ -96,15 +97,18 @@ TEST_F(FailureInjection, CorruptedModelStream) {
   EXPECT_THROW(fresh.load(corrupted), Error);
 }
 
-TEST_F(FailureInjection, VerifyWithSilenceReportsSignalError) {
+TEST_F(FailureInjection, VerifyWithSilenceReportsTypedCaptureReject) {
   MandiPass mp(extractor_);
-  mp.enroll("alice", good_recording());
+  const imu::RawRecording good = good_recording();
+  ASSERT_TRUE(mp.try_enroll("alice", {&good, 1}).ok());
   imu::RawRecording silence;
   silence.sample_rate_hz = 350.0;
   for (auto& axis : silence.axes) {
     axis.assign(300, 0.0);
   }
-  EXPECT_THROW(mp.verify("alice", silence), SignalError);
+  const auto d = mp.try_verify("alice", silence);
+  ASSERT_FALSE(d.ok());
+  EXPECT_EQ(d.code(), common::ErrorCode::OnsetNotFound);
 }
 
 TEST_F(FailureInjection, GlitchStormStillProcessable) {
