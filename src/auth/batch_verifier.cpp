@@ -313,21 +313,13 @@ BatchResult BatchVerifier::verify_batch(std::span<const VerifyRequest> requests,
   const double wall_ms =
       std::chrono::duration<double, std::milli>(clock::now() - batch_start).count();
 
+  result.stats = tally(result.decisions);
   BatchStats& s = result.stats;
-  s.requests = requests.size();
   s.wall_ms = wall_ms;
   double sum_ms = 0.0;
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    const BatchDecision& d = result.decisions[i];
-    s.known += d.known ? 1 : 0;
-    s.accepted += (d.known && d.decision.accepted) ? 1 : 0;
-    s.unknown += d.status == BatchStatus::Unknown ? 1 : 0;
-    s.invalid += d.status == BatchStatus::Invalid ? 1 : 0;
-    s.expired += d.status == BatchStatus::Expired ? 1 : 0;
-    s.shed += d.status == BatchStatus::Shed ? 1 : 0;
-    s.degraded += d.degraded ? 1 : 0;
-    sum_ms += request_ms[i];
-    s.max_request_ms = std::max(s.max_request_ms, request_ms[i]);
+  for (const double ms : request_ms) {
+    sum_ms += ms;
+    s.max_request_ms = std::max(s.max_request_ms, ms);
   }
   if (s.requests > 0) {
     s.mean_request_ms = sum_ms / static_cast<double>(s.requests);
@@ -336,6 +328,21 @@ BatchResult BatchVerifier::verify_batch(std::span<const VerifyRequest> requests,
     s.throughput_per_s = static_cast<double>(s.requests) * 1000.0 / wall_ms;
   }
   return result;
+}
+
+BatchStats tally(std::span<const BatchDecision> decisions) {
+  BatchStats s;
+  s.requests = decisions.size();
+  for (const BatchDecision& d : decisions) {
+    s.known += d.known ? 1 : 0;
+    s.accepted += (d.known && d.decision.accepted) ? 1 : 0;
+    s.unknown += d.status == BatchStatus::Unknown ? 1 : 0;
+    s.invalid += d.status == BatchStatus::Invalid ? 1 : 0;
+    s.expired += d.status == BatchStatus::Expired ? 1 : 0;
+    s.shed += d.status == BatchStatus::Shed ? 1 : 0;
+    s.degraded += d.degraded ? 1 : 0;
+  }
+  return s;
 }
 
 void BatchVerifier::save(std::ostream& os) const {

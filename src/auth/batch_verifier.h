@@ -102,6 +102,11 @@ struct BatchResult {
   BatchStats stats;
 };
 
+/// The per-status counts of `decisions`: requests, known, accepted,
+/// unknown, invalid, expired, shed and degraded. Timing fields stay 0 for
+/// the calling engine to fill in.
+BatchStats tally(std::span<const BatchDecision> decisions);
+
 /// Per-call accounting of the coalescing path (verify_coalesced): how
 /// many known requests shared a Gaussian transform with at least one
 /// other request versus riding a group of one.

@@ -17,7 +17,7 @@ std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::
     MutexLock lock(mutex_);
     const auto it = cache_.find(seed);
     if (it != cache_.end() && it->second.matrix->dim() == dim) {
-      if (!config_.verify_integrity || it->second.matrix->checksum() == it->second.crc) {
+      if (it->second.matrix->checksum() == it->second.crc) {
         MANDIPASS_OBS_COUNT("auth.batch.matrix_cache_hits");
         recency_.splice(recency_.begin(), recency_, it->second.lru);
         return it->second.matrix;
@@ -34,7 +34,7 @@ std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::
   // Build outside any lock (dim^2 RNG draws), then publish. A losing
   // racer's matrix is identical by construction, so either copy is fine.
   auto fresh = std::make_shared<const GaussianMatrix>(seed, dim);
-  const std::uint32_t crc = config_.verify_integrity ? fresh->checksum() : 0;
+  const std::uint32_t crc = fresh->checksum();
   MutexLock lock(mutex_);
   auto [it, inserted] = cache_.try_emplace(seed);
   if (inserted) {
@@ -59,7 +59,7 @@ std::shared_ptr<const GaussianMatrix> MatrixCache::peek(std::uint64_t seed,
   if (it == cache_.end() || it->second.matrix->dim() != dim) {
     return nullptr;
   }
-  if (config_.verify_integrity && it->second.matrix->checksum() != it->second.crc) {
+  if (it->second.matrix->checksum() != it->second.crc) {
     MANDIPASS_OBS_COUNT("auth.matrix_cache.poison_detected");
     return nullptr;
   }

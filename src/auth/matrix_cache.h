@@ -49,9 +49,6 @@ struct MatrixCacheConfig {
   /// is evicted. Generous default: 1024 entries at dim 512 is ~1 GiB of
   /// packed matrices, far above any steady-state seed-epoch working set.
   std::size_t max_entries = 1024;
-  /// Re-verify each entry's packed-kernel CRC on lookup. Costs one CRC
-  /// pass per *group* lookup (not per request) on the coalesced path.
-  bool verify_integrity = true;
 };
 
 class MatrixCache {

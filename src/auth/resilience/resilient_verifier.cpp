@@ -161,17 +161,7 @@ BatchResult ResilientVerifier::verify_batch(std::span<const VerifyRequest> reque
   MANDIPASS_OBS_COUNT_N("auth.resil.degraded", degraded_count);
   MANDIPASS_OBS_COUNT_N("auth.resil.degraded_miss", degraded_miss_count);
 
-  BatchStats& st = result.stats;
-  st.requests = requests.size();
-  for (const BatchDecision& d : result.decisions) {
-    st.known += d.known ? 1 : 0;
-    st.accepted += (d.known && d.decision.accepted) ? 1 : 0;
-    st.unknown += d.status == BatchStatus::Unknown ? 1 : 0;
-    st.invalid += d.status == BatchStatus::Invalid ? 1 : 0;
-    st.expired += d.status == BatchStatus::Expired ? 1 : 0;
-    st.shed += d.status == BatchStatus::Shed ? 1 : 0;
-    st.degraded += d.degraded ? 1 : 0;
-  }
+  result.stats = tally(result.decisions);
   return result;
 }
 

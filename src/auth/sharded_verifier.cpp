@@ -135,18 +135,9 @@ BatchResult ShardedVerifier::verify_batch(std::span<const VerifyRequest> request
   MANDIPASS_OBS_COUNT_N("auth.shard.coalesced_requests", total_cs.coalesced);
   MANDIPASS_OBS_COUNT_N("auth.shard.singleton_requests", total_cs.singletons);
 
+  result.stats = tally(result.decisions);
   BatchStats& st = result.stats;
-  st.requests = requests.size();
   st.wall_ms = wall_ms;
-  for (const BatchDecision& d : result.decisions) {
-    st.known += d.known ? 1 : 0;
-    st.accepted += (d.known && d.decision.accepted) ? 1 : 0;
-    st.unknown += d.status == BatchStatus::Unknown ? 1 : 0;
-    st.invalid += d.status == BatchStatus::Invalid ? 1 : 0;
-    st.expired += d.status == BatchStatus::Expired ? 1 : 0;
-    st.shed += d.status == BatchStatus::Shed ? 1 : 0;
-    st.degraded += d.degraded ? 1 : 0;
-  }
   if (st.requests > 0) {
     // Coalesced requests have no individual service time; report the
     // amortized per-request cost (shard wall / shard requests) instead.

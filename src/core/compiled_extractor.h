@@ -1,18 +1,25 @@
-// Compiled inference path for the biometric extractor (DESIGN.md §13).
+// Compiled inference path for the biometric extractor (DESIGN.md §13, §18).
 //
-// A CompiledExtractor is built once from a trained BiometricExtractor and
-// owns three packed artifacts: one nn::InferencePlan per conv branch
-// (Conv+BN+ReLU triples folded and fused, weights pre-packed for the
-// register-blocked GEMM) and the trunk Linear with the Sigmoid fused as
-// its epilogue. extract()/extract_batch() then run end-to-end with every
-// intermediate in a per-thread ScratchArena — zero heap allocations in
-// the steady state, no Tensor plumbing, and input planes packed straight
-// from the GradientArray slices.
+// PlanExtractor is the one serving driver of the compiled two-branch CNN,
+// parameterised over its branch plan and trunk GEMM. It owns three packed
+// artifacts — one branch plan per direction (Conv+BN+ReLU triples folded
+// and fused, weights pre-packed) and the trunk Linear with the Sigmoid
+// fused as its epilogue — and runs extract()/extract_batch() end-to-end
+// with every intermediate in a per-thread ScratchArena: zero heap
+// allocations in the steady state, no Tensor plumbing, and input planes
+// packed straight from the GradientArray slices.
 //
-// The compiled path is a snapshot of the source's weights; it does not
-// track later training. BiometricExtractor owns the invalidation
+// It has two instantiations:
+//   * CompiledExtractor — float plans (nn::InferencePlan, nn::PackedGemm),
+//     built from a trained BiometricExtractor;
+//   * Int8PlanExtractor — int8 plans (nn::QuantizedInferencePlan,
+//     nn::PackedQuantizedGemm), built and held by QuantizedExtractor.
+//
+// A compiled path is a snapshot of the source's weights; it does not
+// track later training. BiometricExtractor owns the float invalidation
 // (recompile after train-mode forward, backward or load) so callers of
-// extract/extract_batch never observe a stale plan.
+// extract/extract_batch never observe a stale plan; QuantizedExtractor
+// recompiles on requantize().
 #pragma once
 
 #include <cstddef>
@@ -26,22 +33,31 @@ namespace mandipass::core {
 
 class BiometricExtractor;
 
-class CompiledExtractor {
+template <class BranchPlan, class TrunkGemm>
+class PlanExtractor {
  public:
-  /// Folds and packs `source` (both branches + trunk) in its current
-  /// state. The source is only read; it can keep training afterwards.
-  explicit CompiledExtractor(BiometricExtractor& source);
+  /// The packed artifacts of one extractor. Both branches must emit the
+  /// same feature count and the trunk must take their concatenation.
+  struct Plans {
+    BranchPlan positive;
+    BranchPlan negative;
+    TrunkGemm trunk;  ///< trunk Linear; Sigmoid fused as epilogue
+  };
+
+  PlanExtractor(std::size_t axes, std::size_t half_length, Plans plans);
 
   /// Embeds one gradient array. Bit-identical to extract_batch of the
-  /// same sample (the batch path runs this same per-sample kernel).
+  /// same sample (the batch path runs the same per-sample branch plans
+  /// and a tile-size-invariant trunk).
   std::vector<float> extract(const GradientArray& array) const;
 
   /// Embeds every array; row i is the MandiblePrint of arrays[i]. Fans
   /// out in tiles of kSampleTile samples over the global thread pool with
   /// one ScratchArena per worker; the trunk GEMM streams its packed
   /// weights once per tile. Each output element is computed by exactly
-  /// one thread in a tile-size-invariant accumulation order, so the
-  /// result is bit-identical for any thread count and batch split.
+  /// one thread in a tile-size-invariant order (the int8 trunk quantizes
+  /// activations per input vector), so the result is bit-identical for
+  /// any thread count and batch split.
   std::vector<std::vector<float>> extract_batch(std::span<const GradientArray> arrays) const;
 
   /// Samples per trunk-GEMM tile in extract_batch (bounds arena usage;
@@ -50,23 +66,31 @@ class CompiledExtractor {
 
   std::size_t axes() const noexcept { return axes_; }
   std::size_t half_length() const noexcept { return half_; }
-  std::size_t embedding_dim() const noexcept { return fc_.rows(); }
+  std::size_t embedding_dim() const noexcept { return plans_.trunk.rows(); }
   /// Floats per branch input plane: axes * half_length.
   std::size_t plane_count() const noexcept { return axes_ * half_; }
 
  private:
-  /// One sample from two packed (axes, half) planes into out
-  /// (embedding_dim floats). The planes must have been allocated from
-  /// `arena` *before* the call (the plans allocate behind them), and the
-  /// caller must hold the arena capability (arena.assert_owner()).
-  void embed_one(const float* pos_plane, const float* neg_plane, float* out,
-                 nn::ScratchArena& arena) const MANDIPASS_REQUIRES(arena);
+  /// Runs both branches on `count` samples' packed planes from `arrays`
+  /// into `concat` (count rows of 2 * feature_count floats), then the
+  /// trunk into `out` with row stride `count`. `arena` must be held by the
+  /// caller (arena.assert_owner()).
+  void embed_tile(const GradientArray* arrays, std::size_t count, float* out,
+                  nn::ScratchArena& arena) const MANDIPASS_REQUIRES(arena);
 
   std::size_t axes_ = 0;
   std::size_t half_ = 0;
-  nn::InferencePlan branch_pos_;
-  nn::InferencePlan branch_neg_;
-  nn::PackedGemm fc_;  ///< trunk Linear; Sigmoid fused as epilogue
+  Plans plans_;
+};
+
+using Int8PlanExtractor = PlanExtractor<nn::QuantizedInferencePlan, nn::PackedQuantizedGemm>;
+
+/// The float instantiation, folded and packed from a BiometricExtractor.
+class CompiledExtractor : public PlanExtractor<nn::InferencePlan, nn::PackedGemm> {
+ public:
+  /// Folds and packs `source` (both branches + trunk) in its current
+  /// state. The source is only read; it can keep training afterwards.
+  explicit CompiledExtractor(BiometricExtractor& source);
 };
 
 }  // namespace mandipass::core

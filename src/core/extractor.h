@@ -65,12 +65,6 @@ class BiometricExtractor {
   /// bit-identical for any thread count (DESIGN.md §9, §13).
   std::vector<std::vector<float>> extract_batch(const std::vector<GradientArray>& arrays);
 
-  /// The packed, BN-folded plan for the current weights: compiled lazily
-  /// on first use, invalidated by train-mode forwards, backward() and
-  /// load(). The layer-by-layer embed() stays as the training/reference
-  /// path the plan is validated against (≤1e-5 max-abs, tests/perf).
-  CompiledExtractor& compiled();
-
   /// Parameter count / storage accounting (Section VII-E).
   std::size_t parameter_count();
   std::size_t storage_bytes();
@@ -98,6 +92,12 @@ class BiometricExtractor {
   std::unique_ptr<nn::Sequential> trunk_;  ///< Linear -> Sigmoid
   std::unique_ptr<nn::Linear> head_;
   std::unique_ptr<CompiledExtractor> compiled_;  ///< null = stale/not built
+
+  /// The packed, BN-folded plan for the current weights: compiled lazily
+  /// on first use, invalidated by train-mode forwards, backward() and
+  /// load(). The layer-by-layer embed() stays as the training/reference
+  /// path the plan is validated against (≤1e-5 max-abs, tests/perf).
+  CompiledExtractor& compiled();
 
   static std::unique_ptr<nn::Sequential> make_branch(const ExtractorConfig& config, Rng& rng,
                                                      std::size_t* flat_out);

@@ -293,9 +293,9 @@ FoldedConv fold_conv_bn(Conv2d& conv, BatchNorm2d& bn) {
   // s = gamma / sqrt(var + eps). Folded in double, matching the
   // reference eval path's double inv_std (batchnorm.cpp).
   const Conv2dConfig& cc = conv.config();
-  FoldedConv folded;
-  folded.out_channels = cc.out_channels;
-  folded.taps = cc.in_channels * cc.kernel_h * cc.kernel_w;
+  const std::size_t out_channels = cc.out_channels;
+  const std::size_t taps = cc.in_channels * cc.kernel_h * cc.kernel_w;
+  FoldedConv folded{Tensor({out_channels, taps}), std::vector<float>(out_channels)};
   const std::vector<Param*> cp = conv.params();
   const std::vector<Param*> bp = bn.params();
   const Tensor& wt = cp[0]->value;
@@ -304,14 +304,12 @@ FoldedConv fold_conv_bn(Conv2d& conv, BatchNorm2d& bn) {
   const Tensor& beta = bp[1]->value;
   const Tensor& mean = bn.running_mean();
   const Tensor& var = bn.running_var();
-  folded.weights.resize(folded.out_channels * folded.taps);
-  folded.bias.resize(folded.out_channels);
-  for (std::size_t oc = 0; oc < folded.out_channels; ++oc) {
+  for (std::size_t oc = 0; oc < out_channels; ++oc) {
     const double scale = static_cast<double>(gamma[oc]) /
                          std::sqrt(static_cast<double>(var[oc]) + bn.eps());
-    for (std::size_t k = 0; k < folded.taps; ++k) {
-      folded.weights[oc * folded.taps + k] =
-          static_cast<float>(static_cast<double>(wt[oc * folded.taps + k]) * scale);
+    for (std::size_t k = 0; k < taps; ++k) {
+      folded.weights[oc * taps + k] =
+          static_cast<float>(static_cast<double>(wt[oc * taps + k]) * scale);
     }
     folded.bias[oc] = static_cast<float>(
         (static_cast<double>(bt[oc]) - static_cast<double>(mean[oc])) * scale +
@@ -334,22 +332,19 @@ InferencePlan InferencePlan::compile(Sequential& branch, std::size_t h_in, std::
       break;
     }
     const Conv2dConfig& cc = conv->config();
-    FusedConvStage stage;
-    stage.in_channels = cc.in_channels;
+    const std::size_t h_out = Conv2d::out_extent(h, cc.kernel_h, cc.stride_h, cc.pad_h);
+    const std::size_t w_out = Conv2d::out_extent(w, cc.kernel_w, cc.stride_w, cc.pad_w);
+    Stage stage;
     stage.out_channels = cc.out_channels;
-    stage.h_in = h;
-    stage.w_in = w;
-    stage.h_out = Conv2d::out_extent(h, cc.kernel_h, cc.stride_h, cc.pad_h);
-    stage.w_out = Conv2d::out_extent(w, cc.kernel_w, cc.stride_w, cc.pad_w);
     stage.taps = cc.in_channels * cc.kernel_h * cc.kernel_w;
-    stage.positions = stage.h_out * stage.w_out;
+    stage.positions = h_out * w_out;
     stage.patch_index = Conv2d::make_patch_index(cc, h, w);
 
     const FoldedConv folded = fold_conv_bn(*conv, *bn);
     stage.gemm.pack_rows(folded.weights.data(), folded.bias.data(), cc.out_channels,
                          stage.taps);
-    h = stage.h_out;
-    w = stage.w_out;
+    h = h_out;
+    w = w_out;
     plan.stages_.push_back(std::move(stage));
     i += 3;
   }
@@ -364,19 +359,11 @@ InferencePlan InferencePlan::compile(Sequential& branch, std::size_t h_in, std::
   return plan;
 }
 
-std::size_t InferencePlan::input_count() const noexcept {
-  if (stages_.empty()) {
-    return 0;
-  }
-  const FusedConvStage& s = stages_.front();
-  return s.in_channels * s.h_in * s.w_in;
-}
-
 std::size_t InferencePlan::feature_count() const noexcept {
   if (stages_.empty()) {
     return 0;
   }
-  const FusedConvStage& s = stages_.back();
+  const Stage& s = stages_.back();
   return s.out_channels * s.positions;
 }
 
@@ -384,7 +371,7 @@ void InferencePlan::run(const float* plane, float* out, ScratchArena& arena) con
   MANDIPASS_EXPECTS(!stages_.empty());
   const float* cur = plane;
   for (std::size_t si = 0; si < stages_.size(); ++si) {
-    const FusedConvStage& s = stages_[si];
+    const Stage& s = stages_[si];
     // Gather: one im2col row per output position. Every cell is written
     // (padding taps as 0), so the arena storage needs no pre-zeroing.
     const std::size_t cells = s.positions * s.taps;

@@ -190,11 +190,6 @@ class PackedGemm {
   std::size_t cols() const noexcept { return cols_; }
   bool empty() const noexcept { return rows_ == 0; }
 
-  /// Packed storage footprint (weights + bias), for accounting.
-  std::size_t storage_bytes() const noexcept {
-    return (weights_.size() + bias_.size()) * sizeof(float);
-  }
-
   /// Read-only view of the packed weight buffer (block-major, padded).
   /// This is the authoritative kernel input, so integrity checks (e.g.
   /// MatrixCache's CRC poison detection) checksum exactly these bytes.
@@ -207,33 +202,19 @@ class PackedGemm {
   std::vector<float> bias_;     ///< padded to a block multiple
 };
 
-/// A Conv2d with its following BatchNorm2d folded in: row-major
-/// (out_channels, taps) weights and per-channel bias, ready to pack.
+/// A Conv2d with its following BatchNorm2d folded in: (out_channels,
+/// taps) weights and per-channel bias, ready to pack or quantize.
 struct FoldedConv {
-  std::size_t out_channels = 0;
-  std::size_t taps = 0;               ///< in_channels * kernel_h * kernel_w
-  std::vector<float> weights;         ///< (out_channels, taps) row-major
-  std::vector<float> bias;            ///< out_channels
+  Tensor weights;          ///< (out_channels, in_channels * kernel_h * kernel_w)
+  std::vector<float> bias;  ///< out_channels
 };
 
 /// Folds `bn`'s affine (off its running statistics) into `conv`'s
 /// weights and bias, in double: w' = w * s, b' = (b - mean) * s + beta
-/// with s = gamma / sqrt(var + eps). Shared by the float and int8 plan
-/// compilers so both paths fold identically.
+/// with s = gamma / sqrt(var + eps). Shared by InferencePlan::compile and
+/// the int8 snapshot (core::QuantizedExtractor) so both paths fold
+/// identically.
 FoldedConv fold_conv_bn(Conv2d& conv, BatchNorm2d& bn);
-
-/// One fused Conv+BN+ReLU stage of a compiled branch.
-struct FusedConvStage {
-  std::size_t in_channels = 0;
-  std::size_t out_channels = 0;
-  std::size_t h_in = 0, w_in = 0;
-  std::size_t h_out = 0, w_out = 0;
-  std::size_t taps = 0;       ///< in_channels * kernel_h * kernel_w
-  std::size_t positions = 0;  ///< h_out * w_out
-  /// Flat source offset per (output position, tap); -1 = padding tap.
-  std::vector<std::ptrdiff_t> patch_index;
-  PackedGemm gemm;  ///< folded weights, rows = out_channels, cols = taps
-};
 
 /// A compiled [Conv2d + BatchNorm2d + ReLU] x N (+ Flatten) branch for a
 /// fixed input plane geometry. Compile once (after training), run many.
@@ -247,21 +228,29 @@ class InferencePlan {
   /// so the source must be in its final (trained) state.
   static InferencePlan compile(Sequential& branch, std::size_t h_in, std::size_t w_in);
 
-  /// Runs the branch on one sample: `plane` holds input_count() floats in
-  /// (C, H, W) order; the flattened features (feature_count() floats, the
-  /// same (C, H, W) order nn::Flatten produces) are written to `out`.
-  /// All intermediates come from `arena`; the caller owns reset() and
-  /// must hold the arena capability (assert_owner() in scope).
+  /// Runs the branch on one sample: `plane` holds the compiled input
+  /// shape (C, H, W) in that order; the flattened features
+  /// (feature_count() floats, the same (C, H, W) order nn::Flatten
+  /// produces) are written to `out`. All intermediates come from `arena`;
+  /// the caller owns reset() and must hold the arena capability
+  /// (assert_owner() in scope).
   void run(const float* plane, float* out, ScratchArena& arena) const
       MANDIPASS_REQUIRES(arena);
 
-  std::size_t input_count() const noexcept;
   std::size_t feature_count() const noexcept;
-  std::size_t stage_count() const noexcept { return stages_.size(); }
-  const FusedConvStage& stage(std::size_t i) const { return stages_[i]; }
 
  private:
-  std::vector<FusedConvStage> stages_;
+  /// One fused Conv+BN+ReLU stage.
+  struct Stage {
+    std::size_t out_channels = 0;
+    std::size_t taps = 0;       ///< in_channels * kernel_h * kernel_w
+    std::size_t positions = 0;  ///< h_out * w_out
+    /// Flat source offset per (output position, tap); -1 = padding tap.
+    std::vector<std::ptrdiff_t> patch_index;
+    PackedGemm gemm;  ///< folded weights, rows = out_channels, cols = taps
+  };
+
+  std::vector<Stage> stages_;
 };
 
 /// Names of every int8 kernel tier compiled into this binary, in
@@ -332,13 +321,6 @@ class PackedQuantizedGemm {
   std::size_t cols() const noexcept { return cols_; }
   bool empty() const noexcept { return rows_ == 0; }
 
-  /// Packed footprint: int8 weights + per-row scales/sums/bias.
-  std::size_t storage_bytes() const noexcept {
-    return weights_.size() * sizeof(std::int8_t) +
-           scales_.size() * sizeof(float) + row_sums_.size() * sizeof(std::int32_t) +
-           bias_.size() * sizeof(float);
-  }
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
@@ -349,14 +331,14 @@ class PackedQuantizedGemm {
   std::vector<float> bias_;             ///< per row, padded
 };
 
-/// One conv layer of a quantized branch, described by its already
-/// BN-folded, already quantized weights. `weights` has rows ==
+/// One conv layer of a quantized branch: the BN-folded weights
+/// (fold_conv_bn), quantized per row. `weights` has rows ==
 /// config.out_channels and cols == in_channels * kernel_h * kernel_w;
-/// `bias` has out_channels entries. Pointers must outlive compile().
-struct QuantizedConvSpec {
+/// `bias` has out_channels entries.
+struct QuantizedConv {
   Conv2dConfig config;
-  const QuantizedMatrix* weights = nullptr;
-  const float* bias = nullptr;
+  QuantizedMatrix weights;
+  std::vector<float> bias;
 };
 
 /// The int8 counterpart of InferencePlan: same fused single-pass
@@ -367,15 +349,10 @@ class QuantizedInferencePlan {
  public:
   QuantizedInferencePlan() = default;
 
-  /// Folds + quantizes a trained [Conv2d, BatchNorm2d, ReLU] x N
-  /// (+ Flatten) branch, like InferencePlan::compile but emitting int8
-  /// stages.
-  static QuantizedInferencePlan compile(Sequential& branch, std::size_t h_in,
-                                        std::size_t w_in);
-
-  /// Compiles from pre-quantized weights (the QuantizedExtractor path,
-  /// whose layers are already folded + quantized at construction).
-  static QuantizedInferencePlan compile(std::span<const QuantizedConvSpec> specs,
+  /// Compiles a branch of already folded + quantized conv layers (each
+  /// followed by a ReLU) for input planes of shape
+  /// (in_channels-of-first-layer, h_in, w_in).
+  static QuantizedInferencePlan compile(std::span<const QuantizedConv> layers,
                                         std::size_t h_in, std::size_t w_in);
 
   /// Runs the branch on one sample; contract identical to
@@ -383,26 +360,18 @@ class QuantizedInferencePlan {
   void run(const float* plane, float* out, ScratchArena& arena) const
       MANDIPASS_REQUIRES(arena);
 
+  std::size_t feature_count() const noexcept;
+
+ private:
   struct Stage {
-    std::size_t in_channels = 0;
     std::size_t out_channels = 0;
-    std::size_t h_in = 0, w_in = 0;
-    std::size_t h_out = 0, w_out = 0;
+    std::size_t plane_count = 0;  ///< in_channels * h_in * w_in
     std::size_t taps = 0;
     std::size_t positions = 0;
     std::vector<std::ptrdiff_t> patch_index;
     PackedQuantizedGemm gemm;
   };
 
-  std::size_t input_count() const noexcept;
-  std::size_t feature_count() const noexcept;
-  std::size_t stage_count() const noexcept { return stages_.size(); }
-  const Stage& stage(std::size_t i) const { return stages_[i]; }
-
-  /// Total packed int8 storage across stages.
-  std::size_t storage_bytes() const noexcept;
-
- private:
   std::vector<Stage> stages_;
 };
 

@@ -10,12 +10,9 @@
 #include <cstring>
 
 #include "common/error.h"
-#include "nn/batchnorm.h"
 #include "nn/conv2d.h"
 #include "nn/inference_plan.h"
-#include "nn/layers.h"
 #include "nn/qgemm_kernels.h"
-#include "nn/sequential.h"
 
 namespace mandipass::nn {
 
@@ -247,90 +244,34 @@ bool PackedQuantizedGemm::run_tier(const char* tier, const float* x, std::size_t
   return false;
 }
 
-namespace {
-
-QuantizedInferencePlan::Stage make_quantized_stage(const Conv2dConfig& cc,
-                                                   const QuantizedMatrix& q,
-                                                   const float* bias, std::size_t h,
-                                                   std::size_t w) {
-  QuantizedInferencePlan::Stage stage;
-  stage.in_channels = cc.in_channels;
-  stage.out_channels = cc.out_channels;
-  stage.h_in = h;
-  stage.w_in = w;
-  stage.h_out = Conv2d::out_extent(h, cc.kernel_h, cc.stride_h, cc.pad_h);
-  stage.w_out = Conv2d::out_extent(w, cc.kernel_w, cc.stride_w, cc.pad_w);
-  stage.taps = cc.in_channels * cc.kernel_h * cc.kernel_w;
-  stage.positions = stage.h_out * stage.w_out;
-  if (q.rows != cc.out_channels || q.cols != stage.taps) {
-    throw ShapeError("QuantizedInferencePlan: weight shape does not match conv config");
+QuantizedInferencePlan QuantizedInferencePlan::compile(std::span<const QuantizedConv> layers,
+                                                       std::size_t h_in, std::size_t w_in) {
+  if (layers.empty()) {
+    throw ShapeError("QuantizedInferencePlan::compile: empty layer list");
   }
-  stage.patch_index = Conv2d::make_patch_index(cc, h, w);
-  stage.gemm.pack_rows(q, bias);
-  return stage;
-}
-
-}  // namespace
-
-QuantizedInferencePlan QuantizedInferencePlan::compile(Sequential& branch,
-                                                       std::size_t h_in,
-                                                       std::size_t w_in) {
   QuantizedInferencePlan plan;
-  const std::size_t count = branch.layer_count();
   std::size_t h = h_in;
   std::size_t w = w_in;
-  std::size_t i = 0;
-  while (i + 2 < count) {
-    auto* conv = dynamic_cast<Conv2d*>(&branch.layer(i));
-    auto* bn = dynamic_cast<BatchNorm2d*>(&branch.layer(i + 1));
-    auto* relu = dynamic_cast<ReLU*>(&branch.layer(i + 2));
-    if (conv == nullptr || bn == nullptr || relu == nullptr) {
-      break;
+  for (const QuantizedConv& layer : layers) {
+    const Conv2dConfig& cc = layer.config;
+    const std::size_t h_out = Conv2d::out_extent(h, cc.kernel_h, cc.stride_h, cc.pad_h);
+    const std::size_t w_out = Conv2d::out_extent(w, cc.kernel_w, cc.stride_w, cc.pad_w);
+    Stage stage;
+    stage.out_channels = cc.out_channels;
+    stage.plane_count = cc.in_channels * h * w;
+    stage.taps = cc.in_channels * cc.kernel_h * cc.kernel_w;
+    stage.positions = h_out * w_out;
+    if (layer.weights.rows != cc.out_channels || layer.weights.cols != stage.taps ||
+        layer.bias.size() != cc.out_channels) {
+      throw ShapeError("QuantizedInferencePlan: weight shape does not match conv config");
     }
-    const FoldedConv folded = fold_conv_bn(*conv, *bn);
-    Tensor wt({folded.out_channels, folded.taps});
-    std::copy(folded.weights.begin(), folded.weights.end(), wt.data());
-    const QuantizedMatrix q = quantize_rows(wt);
-    Stage stage = make_quantized_stage(conv->config(), q, folded.bias.data(), h, w);
-    h = stage.h_out;
-    w = stage.w_out;
-    plan.stages_.push_back(std::move(stage));
-    i += 3;
-  }
-  const bool tail_ok =
-      i == count || (i + 1 == count && dynamic_cast<Flatten*>(&branch.layer(i)) != nullptr);
-  if (plan.stages_.empty() || !tail_ok) {
-    throw ShapeError(
-        "QuantizedInferencePlan::compile expects [Conv2d, BatchNorm2d, ReLU] triples + "
-        "optional Flatten");
-  }
-  return plan;
-}
-
-QuantizedInferencePlan QuantizedInferencePlan::compile(
-    std::span<const QuantizedConvSpec> specs, std::size_t h_in, std::size_t w_in) {
-  if (specs.empty()) {
-    throw ShapeError("QuantizedInferencePlan::compile: empty spec list");
-  }
-  QuantizedInferencePlan plan;
-  std::size_t h = h_in;
-  std::size_t w = w_in;
-  for (const QuantizedConvSpec& spec : specs) {
-    MANDIPASS_EXPECTS(spec.weights != nullptr && spec.bias != nullptr);
-    Stage stage = make_quantized_stage(spec.config, *spec.weights, spec.bias, h, w);
-    h = stage.h_out;
-    w = stage.w_out;
+    stage.patch_index = Conv2d::make_patch_index(cc, h, w);
+    stage.gemm.pack_rows(layer.weights, layer.bias.data());
+    h = h_out;
+    w = w_out;
     plan.stages_.push_back(std::move(stage));
   }
   return plan;
-}
-
-std::size_t QuantizedInferencePlan::input_count() const noexcept {
-  if (stages_.empty()) {
-    return 0;
-  }
-  const Stage& s = stages_.front();
-  return s.in_channels * s.h_in * s.w_in;
 }
 
 std::size_t QuantizedInferencePlan::feature_count() const noexcept {
@@ -339,14 +280,6 @@ std::size_t QuantizedInferencePlan::feature_count() const noexcept {
   }
   const Stage& s = stages_.back();
   return s.out_channels * s.positions;
-}
-
-std::size_t QuantizedInferencePlan::storage_bytes() const noexcept {
-  std::size_t total = 0;
-  for (const Stage& s : stages_) {
-    total += s.gemm.storage_bytes();
-  }
-  return total;
 }
 
 void QuantizedInferencePlan::run(const float* plane, float* out, ScratchArena& arena) const {
@@ -362,12 +295,11 @@ void QuantizedInferencePlan::run(const float* plane, float* out, ScratchArena& a
     // thread bit-identity is unaffected. A padding tap gathers the
     // zero-point byte, which dequantizes to exactly 0 (the affine range
     // always includes 0).
-    const std::size_t plane_count = s.in_channels * s.h_in * s.w_in;
     auto* qplane = reinterpret_cast<std::uint8_t*>(
-        arena.alloc((plane_count + sizeof(float) - 1) / sizeof(float)));
+        arena.alloc((s.plane_count + sizeof(float) - 1) / sizeof(float)));
     float ascale = 0.0f;
     float zpf = 0.0f;
-    quantize_vector(cur, plane_count, plane_count, qplane, &ascale, &zpf);
+    quantize_vector(cur, s.plane_count, s.plane_count, qplane, &ascale, &zpf);
     const auto zp_byte = static_cast<std::uint8_t>(zpf);
 
     const std::size_t padded_taps =

@@ -15,13 +15,15 @@
 //   * a zero-scale weight row and an all-zero input vector both
 //     short-circuit to y = bias exactly;
 //   * worker arenas stop growing after one warm-up pass;
-//   * requantize() invalidates the cached plan.
+//   * requantize() recompiles the plan from the new snapshot;
+//   * the int8 output bits of a fixed extractor and batch are pinned.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/extractor.h"
@@ -309,12 +311,12 @@ TEST_F(QuantizedPlanEquivalence, SteadyStateDoesNotGrowArenas) {
   }
 }
 
-TEST_F(QuantizedPlanEquivalence, RequantizeInvalidatesTheCachedPlan) {
+TEST_F(QuantizedPlanEquivalence, RequantizeRecompilesThePlan) {
   BiometricExtractor ex(small_config());
   train_briefly(ex, 35);
   QuantizedExtractor qex(ex);
   const auto batch = random_batch(3, ex.config().half_length, 240);
-  const auto before = qex.extract_batch(batch);  // compiles the initial plan
+  const auto before = qex.extract_batch(batch);
   train_briefly(ex, 36);
   qex.requantize(ex);
   const auto after = qex.extract_batch(batch);
@@ -322,6 +324,52 @@ TEST_F(QuantizedPlanEquivalence, RequantizeInvalidatesTheCachedPlan) {
   // A fresh snapshot of the same source must agree bit-for-bit.
   const QuantizedExtractor fresh(ex);
   EXPECT_TRUE(bitwise_equal(after, fresh.extract_batch(batch)));
+}
+
+// Pinned int8 bits: CRC32 of the concatenated outputs of extract,
+// extract_batch and extract_scalar for one fixed extractor and batch. The
+// extractor is the seeded initialisation with every parameter (conv
+// weights and biases, BN gamma/beta, trunk) shifted by seeded noise, not a
+// trained one: training runs -ffast-math reductions whose bits move with
+// the build's code generation (sanitizer instrumentation included). The
+// compiled plan is integer inside and -fno-fast-math outside, so its
+// outputs match across kernel tiers and sanitizer builds. The pins were
+// taken on x86-64 with AVX-512 (-march=native).
+TEST_F(QuantizedPlanEquivalence, Int8EmbeddingBitsArePinned) {
+  common::ThreadPool::set_global_threads(1);
+  BiometricExtractor ex(small_config());
+  Rng noise(41);
+  for (nn::Param* p : ex.params()) {
+    for (std::size_t i = 0; i < p->value.size(); ++i) {
+      p->value[i] += static_cast<float>(noise.normal(0.0, 0.05));
+    }
+  }
+  const QuantizedExtractor qex(ex);
+  const auto batch = random_batch(11, ex.config().half_length, 250);
+  const auto crc_of = [](const std::vector<std::vector<float>>& rows) {
+    std::uint32_t crc = 0;
+    for (const auto& row : rows) {
+      crc = common::crc32_update(crc, row.data(), row.size() * sizeof(float));
+    }
+    return crc;
+  };
+  std::vector<std::vector<float>> single;
+  std::vector<std::vector<float>> scalar;
+  for (const GradientArray& g : batch) {
+    single.push_back(qex.extract(g));
+    scalar.push_back(qex.extract_scalar(g));
+  }
+  EXPECT_EQ(crc_of(single), 0x57312f05U);
+  EXPECT_EQ(crc_of(qex.extract_batch(batch)), 0x57312f05U);
+  // extract_scalar sums through nn::quantized_matvec, a -ffast-math loop
+  // that sanitizer builds vectorize differently (1-ulp moves in about
+  // half the outputs), so its bits have one pin per build flavour.
+#if defined(MANDIPASS_SANITIZED_BUILD)
+  constexpr std::uint32_t kScalarCrc = 0x95cdcf34U;
+#else
+  constexpr std::uint32_t kScalarCrc = 0xd90cfed2U;
+#endif
+  EXPECT_EQ(crc_of(scalar), kScalarCrc);
 }
 
 }  // namespace
