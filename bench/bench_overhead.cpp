@@ -9,13 +9,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include "auth/gaussian_matrix.h"
+#include "auth/matrix_cache.h"
 #include "bench_common.h"
+#include "common/crc32.h"
 #include "common/obs.h"
 #include "common/table.h"
 #include "core/mandipass.h"
@@ -101,6 +104,29 @@ void BM_GaussianMatrixBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GaussianMatrixBuild)->Arg(64)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
+
+// CRC-32 throughput over 16 KiB, 256 KiB and 1 MiB: the packed matrix
+// sizes at dims 64, 256 and 512 (DESIGN.md §20).
+void BM_Crc32(benchmark::State& state) {
+  const std::vector<unsigned char> bytes(static_cast<std::size_t>(state.range(0)), 0xA5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(common::crc32(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(16384)->Arg(262144)->Arg(1048576)->Unit(benchmark::kMicrosecond);
+
+// A warm MatrixCache hit, the per-key lookup the service pays per
+// request: find, CRC integrity check of the packed matrix, LRU splice.
+void BM_MatrixCacheHit(benchmark::State& state) {
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  auth::MatrixCache cache;
+  cache.get(42, dim);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.get(42, dim));
+  }
+}
+BENCHMARK(BM_MatrixCacheHit)->Arg(64)->Arg(256)->Arg(512)->Unit(benchmark::kMicrosecond);
 
 void BM_EndToEndVerification(benchmark::State& state) {
   Fixture& f = Fixture::instance();

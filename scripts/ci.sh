@@ -36,8 +36,9 @@ job_bench_smoke() {
     scripts/bench_gates.sh build
 }
 
-# Mirrors the no-simd CI job: the generic int32 fallback tier must pass
-# the full suite (incl. the perf cross-tier/bit-identity tests) alone.
+# Mirrors the no-simd CI job: the generic int32 GEMM and slice-by-8
+# CRC-32 fallback tiers must pass the full suite (incl. the perf
+# cross-tier/bit-identity tests and test_crc32) alone.
 job_no_simd() {
   cmake -B build-generic -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMANDIPASS_WARNINGS_AS_ERRORS=ON -DMANDIPASS_FORCE_GENERIC_KERNELS=ON >/dev/null &&

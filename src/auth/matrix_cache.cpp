@@ -11,20 +11,39 @@ MatrixCache::MatrixCache(MatrixCacheConfig config) : config_(config) {
   MANDIPASS_EXPECTS(config_.max_entries > 0);
 }
 
+MatrixCache::Snapshot MatrixCache::snapshot(std::uint64_t seed, std::size_t dim) const {
+  MutexLock lock(mutex_);
+  const auto it = cache_.find(seed);
+  if (it == cache_.end() || it->second.matrix->dim() != dim) {
+    return {};
+  }
+  return {it->second.matrix, it->second.crc};
+}
+
 std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::size_t dim) {
   MANDIPASS_EXPECTS(dim > 0);
-  {
+  if (const Snapshot hit = snapshot(seed, dim); hit.matrix != nullptr) {
+    // The CRC reads only the immutable packed bytes the copied shared_ptr
+    // keeps alive, so it runs unlocked. Re-lock to splice or drop the
+    // entry only if it still holds this matrix: a racer may have evicted,
+    // replaced or already healed it meanwhile.
+    const bool intact = hit.matrix->checksum() == hit.crc;
     MutexLock lock(mutex_);
     const auto it = cache_.find(seed);
-    if (it != cache_.end() && it->second.matrix->dim() == dim) {
-      if (it->second.matrix->checksum() == it->second.crc) {
-        MANDIPASS_OBS_COUNT("auth.batch.matrix_cache_hits");
+    const bool current = it != cache_.end() && it->second.matrix == hit.matrix;
+    if (intact) {
+      MANDIPASS_OBS_COUNT("auth.batch.matrix_cache_hits");
+      if (current) {
         recency_.splice(recency_.begin(), recency_, it->second.lru);
-        return it->second.matrix;
       }
-      // Poisoned: the packed bytes no longer match the CRC recorded at
-      // insert. Drop the entry and fall through to the rebuild-from-seed
-      // miss path — the seed is the ground truth, so the cache self-heals.
+      return hit.matrix;
+    }
+    // Poisoned: the packed bytes no longer match the CRC recorded at
+    // insert. Drop the entry and fall through to the rebuild-from-seed
+    // miss path — the seed is the ground truth, so the cache self-heals.
+    // Only the thread that drops it counts the detection, so racers that
+    // saw the same poisoned entry do not count it twice.
+    if (current) {
       MANDIPASS_OBS_COUNT("auth.matrix_cache.poison_detected");
       recency_.erase(it->second.lru);
       cache_.erase(it);
@@ -54,16 +73,15 @@ std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::
 std::shared_ptr<const GaussianMatrix> MatrixCache::peek(std::uint64_t seed,
                                                         std::size_t dim) const {
   MANDIPASS_EXPECTS(dim > 0);
-  MutexLock lock(mutex_);
-  const auto it = cache_.find(seed);
-  if (it == cache_.end() || it->second.matrix->dim() != dim) {
+  const Snapshot hit = snapshot(seed, dim);
+  if (hit.matrix == nullptr) {
     return nullptr;
   }
-  if (it->second.matrix->checksum() != it->second.crc) {
+  if (hit.matrix->checksum() != hit.crc) {
     MANDIPASS_OBS_COUNT("auth.matrix_cache.poison_detected");
     return nullptr;
   }
-  return it->second.matrix;
+  return hit.matrix;
 }
 
 std::size_t MatrixCache::size() const {

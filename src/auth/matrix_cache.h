@@ -25,10 +25,14 @@
 //
 // Concurrency: the LRU list makes every lookup a structural mutation, so
 // the shared/exclusive split of the old design is gone — one Mutex guards
-// map + recency list (hit sections are short: a find, a CRC over the
-// packed buffer, a splice). A miss still builds the matrix OUTSIDE the
-// lock (the expensive part) and publishes under it; losing a publish race
-// is harmless — both racers built identical matrices from the same seed.
+// map + recency list. A hit takes it twice, briefly: once to copy the
+// entry's shared_ptr and recorded CRC, once to splice and count (or drop
+// a poisoned entry, only if the map still holds that same matrix). The
+// CRC over the packed buffer runs between the two, unlocked: a published
+// matrix is immutable and the copied shared_ptr keeps it alive. A miss
+// builds the matrix OUTSIDE the lock (the expensive part) and publishes
+// under it; losing a publish race is harmless — both racers built
+// identical matrices from the same seed.
 // The containers are MANDIPASS_GUARDED_BY(mutex_) and the contract is
 // compiler-checked under the tsafety preset (DESIGN.md §14).
 #pragma once
@@ -94,6 +98,14 @@ class MatrixCache {
     std::list<std::uint64_t>::iterator lru;  ///< position in recency_
   };
 
+  /// The entry for (seed, dim) as copied under the lock; matrix is
+  /// nullptr on a miss or a dim mismatch.
+  struct Snapshot {
+    std::shared_ptr<const GaussianMatrix> matrix;
+    std::uint32_t crc = 0;
+  };
+
+  Snapshot snapshot(std::uint64_t seed, std::size_t dim) const MANDIPASS_EXCLUDES(mutex_);
   void evict_over_cap() MANDIPASS_REQUIRES(mutex_);
 
   MatrixCacheConfig config_;

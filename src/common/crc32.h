@@ -1,8 +1,10 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320, reflected) for corruption
-// detection on persisted state. The template store's file format frames
-// its payload with this checksum so a torn write or flipped bit is
-// *detected* at load time instead of yielding a matchable-but-wrong
-// template (DESIGN.md §12).
+// detection. The template store's file format frames its payload with
+// this checksum so a torn write or flipped bit is *detected* at load time
+// instead of yielding a matchable-but-wrong template (DESIGN.md §12), and
+// MatrixCache re-checks every cached matrix with it on every hit. The
+// value is fixed by the definition; the fastest compiled kernel tier
+// computes it (crc32_kernels.h, DESIGN.md §20).
 #pragma once
 
 #include <cstddef>

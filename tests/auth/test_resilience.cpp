@@ -9,10 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "auth/batch_verifier.h"
@@ -228,6 +230,74 @@ TEST(MatrixCache, SeedReappearingWithNewDimReplacesTheEntry) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.peek(4, 8), nullptr);
   EXPECT_NE(cache.peek(4, 16), nullptr);
+}
+
+// Four threads get/peek a seed set larger than the cap while one seed is
+// re-poisoned throughout: the CRC runs outside the cache lock, so every
+// returned matrix must still be the exact one for its seed, every get
+// counts exactly one hit or miss, and the map and recency list stay in
+// step (TSan watches the unlocked CRC reads).
+TEST(MatrixCache, ConcurrentGetAndPeekServeExactMatricesThroughPoison) {
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kIters = 1500;
+  constexpr std::uint64_t kSeeds = 6;
+  constexpr std::uint64_t kPoisoned = 3;
+  constexpr std::size_t kCap = 4;
+  const std::vector<float> probe{1, -2, 3, -4, 5, -6, 7, -8};
+  std::vector<std::vector<float>> expected;
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    expected.push_back(GaussianMatrix(seed, probe.size()).transform(probe));
+  }
+
+  MatrixCache cache({.max_entries = kCap});
+  const std::uint64_t hits = counter_value("auth.batch.matrix_cache_hits");
+  const std::uint64_t misses = counter_value("auth.batch.matrix_cache_misses");
+  const std::uint64_t detected = counter_value("auth.matrix_cache.poison_detected");
+
+  std::atomic<std::size_t> wrong{0};
+  std::atomic<std::size_t> gets{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < kIters; ++i) {
+        // Thread 0 poisons the seed's entry (when cached) and looks it up
+        // next, so the poison is detected by it or by a racer first.
+        const bool poison = t == 0 && i % 16 == 0 && cache.corrupt_integrity_for_test(kPoisoned);
+        const std::uint64_t seed = poison ? kPoisoned : (t + i) % kSeeds;
+        std::shared_ptr<const GaussianMatrix> m;
+        if (i % 4 == 3) {
+          m = cache.peek(seed, probe.size());  // nullptr on a miss or poison
+        } else {
+          m = cache.get(seed, probe.size());
+          gets.fetch_add(1);
+          if (m == nullptr) {
+            wrong.fetch_add(1);
+          }
+        }
+        if (m != nullptr && m->transform(probe) != expected[seed]) {
+          wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) {
+    th.join();
+  }
+
+  EXPECT_EQ(wrong.load(), 0u);
+  EXPECT_LE(cache.size(), kCap);
+  EXPECT_EQ(counter_value("auth.batch.matrix_cache_hits") +
+                counter_value("auth.batch.matrix_cache_misses") - hits - misses,
+            gets.load());
+  EXPECT_GT(counter_value("auth.matrix_cache.poison_detected"), detected);
+  // Every seed heals to its exact matrix, and the size tracks the map.
+  for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+    const auto m = cache.get(seed, probe.size());
+    ASSERT_NE(m, nullptr);
+    EXPECT_EQ(m->transform(probe), expected[seed]);
+    EXPECT_NE(cache.peek(seed, probe.size()), nullptr);
+  }
+  EXPECT_EQ(cache.size(), kCap);
 }
 
 // ----------------------------------------------- deadline through shards
