@@ -160,6 +160,12 @@ bool record_verdict(const std::string& name, bool pass, const std::string& detai
   return pass;
 }
 
+double thread_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 std::vector<vibration::PersonProfile> paper_cohort(std::uint64_t seed) {
   vibration::PopulationGenerator gen(seed);
   std::vector<vibration::PersonProfile> people;

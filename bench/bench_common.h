@@ -66,6 +66,11 @@ std::size_t init_bench(int& argc, char** argv);
 /// fold it into their exit code.
 bool record_verdict(const std::string& name, bool pass, const std::string& detail = "");
 
+/// CPU time consumed by the calling thread, in seconds. Time the thread
+/// spends preempted is not billed, so paired ratios of it hold still on
+/// a shared host.
+double thread_cpu_seconds();
+
 /// Fixed seeds so every bench sees the same people.
 inline constexpr std::uint64_t kHiredPopulationSeed = 101;
 inline constexpr std::uint64_t kUserPopulationSeed = 202;

@@ -7,11 +7,8 @@
 // for a far slower earbud CPU, so ours should be well under theirs.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -20,6 +17,7 @@
 #include "bench_common.h"
 #include "common/crc32.h"
 #include "common/obs.h"
+#include "common/stats.h"
 #include "common/table.h"
 #include "core/mandipass.h"
 
@@ -93,8 +91,9 @@ void BM_CancelableTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_CancelableTransform)->Unit(benchmark::kMicrosecond);
 
-// The per-key Gaussian build the facade pays on every verify (one fresh
-// dim x dim matrix per user key, Section VI); dim 512 is the paper shape.
+// The per-key Gaussian build a MatrixCache miss pays (one dim x dim
+// matrix per user key, Section VI): the facade on a key other than its
+// cached wearer's, the service on a cold seed. Dim 512 is the paper shape.
 void BM_GaussianMatrixBuild(benchmark::State& state) {
   const auto dim = static_cast<std::size_t>(state.range(0));
   std::uint64_t seed = 0;
@@ -143,43 +142,42 @@ BENCHMARK(BM_EndToEndVerification)->Unit(benchmark::kMicrosecond);
 
 /// Interleaved A/B comparison of one hot-path body under two runtime
 /// modes ("on" = the costed feature, "off" = the baseline). `set_mode`
-/// flips the mode before each batch; `body` runs the path. Batches
-/// alternate which mode runs first so frequency drift cancels. Each mode
-/// is summarised by its *fastest* batch: preemption and frequency dips
-/// only ever inflate a batch, so the minimum approximates the
-/// unperturbed per-iteration cost — medians still wobbled by ±10% on a
-/// few-microsecond body, far above the sub-percent effect being measured.
+/// flips the mode before each batch; `body` runs the path `iters` times
+/// per batch. Each of kPairs pairs times four batches in thread CPU time,
+/// on-off-off-on, so a drift or an order effect inside the pair cancels
+/// in its on/off ratio, and the overhead is the median of the pairs'
+/// ratios minus one. A burst of host noise lands on a few pairs, which
+/// the median discards (bench_throughput's extract_plan_speedup_ge_2x
+/// gates a median of paired ratios too). With 45 pairs, repeated runs of
+/// the robust-path estimate spread over ~1.5 percentage points on a
+/// shared 4-core VM; with 181 they stay within ~0.3.
 template <typename Setup, typename F>
-double ab_overhead_delta(Setup&& set_mode, F&& body, int batches, int iters) {
-  using clock = std::chrono::steady_clock;
+double ab_overhead_delta(Setup&& set_mode, F&& body, int iters) {
+  constexpr int kPairs = 181;
   const auto run_batch = [&](bool on) {
     set_mode(on);
-    const auto t0 = clock::now();
+    const double t0 = bench::thread_cpu_seconds();
     for (int i = 0; i < iters; ++i) {
       body();
     }
-    return std::chrono::duration<double, std::micro>(clock::now() - t0).count() /
-           static_cast<double>(iters);
+    return bench::thread_cpu_seconds() - t0;
   };
   // Untimed warm-up of both modes: code/data caches hot, every metric
   // registered, sampled-trace tick counters past their always-recorded
   // first pass.
   run_batch(true);
   run_batch(false);
-  double best_on = std::numeric_limits<double>::infinity();
-  double best_off = std::numeric_limits<double>::infinity();
-  for (int b = 0; b < batches; ++b) {
-    for (int half = 0; half < 2; ++half) {
-      const bool on = ((b + half) % 2) == 0;
-      auto& best = on ? best_on : best_off;
-      best = std::min(best, run_batch(on));
-    }
+  std::vector<double> ratios;
+  ratios.reserve(kPairs);
+  for (int p = 0; p < kPairs; ++p) {
+    double on = run_batch(true);
+    double off = run_batch(false);
+    off += run_batch(false);
+    on += run_batch(true);
+    ratios.push_back(off > 0.0 ? on / off : 1.0);
   }
   set_mode(true);
-  if (!(best_off > 0.0)) {
-    return 0.0;
-  }
-  return (best_on - best_off) / best_off;
+  return median(ratios) - 1.0;
 }
 
 /// The observability tax: the same body with obs tracing enabled vs
@@ -188,30 +186,8 @@ double ab_overhead_delta(Setup&& set_mode, F&& body, int batches, int iters) {
 /// dominate the instrumentation cost; the full compile-out is
 /// -DMANDIPASS_NO_OBS).
 template <typename F>
-double obs_overhead_delta(F&& body, int batches, int iters) {
-  return ab_overhead_delta([](bool on) { common::obs::set_enabled(on); }, body, batches,
-                           iters);
-}
-
-/// Noise on a busy machine only ever inflates a delta, while a real
-/// instrumentation cost is a floor under every attempt — so an
-/// over-bound measurement is retried (fresh interleaved run) and the
-/// smallest delta observed wins. `measure` is any delta-producing run.
-template <typename DeltaFn>
-double smallest_delta(DeltaFn&& measure, double bound) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    best = std::min(best, measure());
-    if (best < bound) {
-      break;
-    }
-  }
-  return best;
-}
-
-template <typename F>
-double obs_overhead_delta_retrying(F&& body, int batches, int iters, double bound) {
-  return smallest_delta([&] { return obs_overhead_delta(body, batches, iters); }, bound);
+double obs_overhead_delta(F&& body, int iters) {
+  return ab_overhead_delta([](bool on) { common::obs::set_enabled(on); }, body, iters);
 }
 
 }  // namespace
@@ -244,14 +220,12 @@ int main(int argc, char** argv) {
 
   // Observability tax: the same hot paths with TraceScope timing on vs
   // off (see obs_overhead_delta). The acceptance bar is <2%.
-  std::cout << "\nobservability overhead (tracing on vs off, fastest of interleaved "
-               "batches):\n";
-  const double prep_delta = obs_overhead_delta_retrying(
-      [&] { benchmark::DoNotOptimize(f.prep.process(f.recording)); },
-      /*batches=*/15, /*iters=*/600, /*bound=*/0.02);
-  const double extract_delta = obs_overhead_delta_retrying(
-      [&] { benchmark::DoNotOptimize(f.extractor->extract(f.grads)); },
-      /*batches=*/11, /*iters=*/120, /*bound=*/0.02);
+  std::cout << "\nobservability overhead (tracing on vs off, median of paired "
+               "thread-CPU ratios):\n";
+  const double prep_delta = obs_overhead_delta(
+      [&] { benchmark::DoNotOptimize(f.prep.process(f.recording)); }, /*iters=*/300);
+  const double extract_delta = obs_overhead_delta(
+      [&] { benchmark::DoNotOptimize(f.extractor->extract(f.grads)); }, /*iters=*/60);
   Table obs_tbl({"path", "delta", "bound", "verdict"});
   obs_tbl.add_row({"Preprocessor::process", fmt_percent(prep_delta), "< 2%",
                    prep_delta < 0.02 ? "PASS" : "FAIL"});
@@ -264,22 +238,17 @@ int main(int argc, char** argv) {
                               "tracing on-vs-off delta " + fmt_percent(extract_delta));
 
   // Robustness tax (DESIGN.md §12): the same preprocessing body with the
-  // NaN/Inf segment guard and output gate on vs off. Same interleaved
-  // fastest-batch methodology and the same <2% bar as the obs tax.
-  std::cout << "\nrobust-path overhead (robust_checks on vs off, fastest of "
-               "interleaved batches):\n";
+  // NaN/Inf segment guard and output gate on vs off. Same paired-ratio
+  // estimator and the same <2% bar as the obs tax.
+  std::cout << "\nrobust-path overhead (robust_checks on vs off, median of paired "
+               "thread-CPU ratios):\n";
   core::PreprocessorConfig relaxed;
   relaxed.robust_checks = false;
   const core::Preprocessor prep_relaxed(relaxed);
   const core::Preprocessor* active_prep = &f.prep;
-  const double robust_delta = smallest_delta(
-      [&] {
-        return ab_overhead_delta(
-            [&](bool on) { active_prep = on ? &f.prep : &prep_relaxed; },
-            [&] { benchmark::DoNotOptimize(active_prep->process(f.recording)); },
-            /*batches=*/15, /*iters=*/600);
-      },
-      /*bound=*/0.02);
+  const double robust_delta = ab_overhead_delta(
+      [&](bool on) { active_prep = on ? &f.prep : &prep_relaxed; },
+      [&] { benchmark::DoNotOptimize(active_prep->process(f.recording)); }, /*iters=*/300);
   Table robust_tbl({"path", "delta", "bound", "verdict"});
   robust_tbl.add_row({"Preprocessor::process robust_checks", fmt_percent(robust_delta),
                       "< 2%", robust_delta < 0.02 ? "PASS" : "FAIL"});

@@ -256,7 +256,7 @@ ReplayOutcome run_replay(Engines& engines, std::size_t users, std::size_t replay
       if (!d.known) {
         continue;
       }
-      const auto snap = engines.s8.snapshot(requests[i].user);
+      const auto snap = engines.s8.lookup(requests[i].user);
       if (!snap.has_value() || snap->key_version != d.key_version) {
         continue;  // churned between batch and check (cannot happen on this tape)
       }
@@ -486,7 +486,7 @@ int main(int argc, char** argv) {
     const std::size_t pool_users = std::min(kVerifyPool, users);
     std::vector<double> expected(pool_users, 0.0);
     for (std::size_t u = 0; u < pool_users; ++u) {
-      const auto snap = engine->snapshot(user_name(u));
+      const auto snap = engine->lookup(user_name(u));
       const auth::GaussianMatrix g(snap->matrix_seed, kDim);
       expected[u] = auth::Verifier(engine->threshold())
                         .verify(g.transform(print_for(u)), snap->data)

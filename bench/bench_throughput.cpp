@@ -15,8 +15,6 @@
 //      identical to the single-thread one — the bench checks that too.
 //
 // Usage: bench_throughput [--threads N]   (default: all hardware cores)
-#include <time.h>
-
 #include <chrono>
 #include <cmath>
 #include <iostream>
@@ -158,13 +156,6 @@ double measure_extract(F&& run, std::size_t batch_size) {
   return static_cast<double>(total) / secs;
 }
 
-/// CPU time consumed by the calling thread, in seconds.
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 struct ExtractComparison {
   double ref_samples_per_sec = 0.0;   ///< over all timed reference batches
   double plan_samples_per_sec = 0.0;  ///< over all timed compiled batches
@@ -187,9 +178,9 @@ ExtractComparison compare_extract(Ref&& ref, Plan&& plan, std::size_t batch_size
   c.ref_last = ref();  // warm-up: plan compile, arena carve, first-touch
   c.plan_last = plan();
   const auto timed = [](auto& run, std::vector<std::vector<float>>& last) {
-    const double t0 = thread_cpu_seconds();
+    const double t0 = bench::thread_cpu_seconds();
     last = run();
-    return thread_cpu_seconds() - t0;
+    return bench::thread_cpu_seconds() - t0;
   };
   std::vector<double> ratios;
   double ref_cpu = 0.0;

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
   // --- 4. Replay attack ---
   std::cout << "[4] replay: stolen sealed template, after the user re-keys\n";
   {
-    const auto stolen = system.store().steal("victim");
+    const auto stolen = system.store().lookup("victim");
     system.rekey("victim", victim_bud.record(vibration::SessionConfig{}));
     const auto fresh = system.store().lookup("victim");
     const double d = auth::cosine_distance(stolen->data, fresh->data);

@@ -95,7 +95,8 @@ int main() {
     return 1;
   }
   std::cout << "[earbud] enrolled users: " << system.store().size()
-            << ", sealed template storage: " << system.store().storage_bytes() << " bytes\n";
+            << ", sealed template: " << system.store().lookup("alice")->data.size() * sizeof(float)
+            << " bytes each\n";
 
   auto try_verify = [&system](const std::string& user, vibration::SessionRecorder& recorder) {
     for (int attempt = 0; attempt < 5; ++attempt) {
@@ -121,7 +122,7 @@ int main() {
             << " (distance " << (cross ? cross->distance : -1.0) << ")\n";
 
   // --- Breach response: the template store leaks; re-key Alice ---
-  const auto stolen = system.store().steal("alice");
+  const auto stolen = system.store().lookup("alice");
   std::cout << "\n[incident] attacker exfiltrates alice's sealed template ("
             << stolen->data.size() * sizeof(float) << " bytes, matrix seed "
             << stolen->matrix_seed << ")\n";
@@ -132,8 +133,7 @@ int main() {
   const double replay_distance = auth::cosine_distance(stolen->data, fresh->data);
   std::cout << "[earbud] replayed stolen template distance vs new template: "
             << replay_distance << " -> "
-            << (replay_distance <= system.verifier().threshold() ? "ACCEPTED (bad!)"
-                                                                 : "rejected")
+            << (replay_distance <= system.threshold() ? "ACCEPTED (bad!)" : "rejected")
             << "\n";
 
   // --- Alice still gets in after re-keying ---

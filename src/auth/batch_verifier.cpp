@@ -5,6 +5,7 @@
 // enforced by the owned Verifier.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <map>
 #include <utility>
@@ -52,7 +53,7 @@ std::optional<StoredTemplate> BatchVerifier::lookup_locked(const std::string& us
 
 double BatchVerifier::threshold_locked() const { return verifier_.threshold(); }
 
-std::optional<StoredTemplate> BatchVerifier::snapshot(const std::string& user) const {
+std::optional<StoredTemplate> BatchVerifier::lookup(const std::string& user) const {
   ReaderLock lock(mutex_);
   return lookup_locked(user);
 }
@@ -111,54 +112,6 @@ BatchDecision count_reject(const common::Error& error) {
   return rejected_decision(error);
 }
 
-}  // namespace
-
-BatchDecision BatchVerifier::verify_one(const std::string& user,
-                                        std::span<const float> raw_probe) const {
-  MANDIPASS_OBS_TRACE(trace_verify, "auth.batch.verify_us");
-  MANDIPASS_OBS_COUNT("auth.batch.verify_total");
-  // Totality gates: verify_one runs on pool workers, where a throw would
-  // surface via parallel_for on the caller and void the whole batch. Any
-  // malformed request instead becomes a typed decision.
-  if (const auto reject = reject_probe(raw_probe)) {
-    return count_reject(*reject);
-  }
-  // Shared-lock window: copy the template and the operating threshold so
-  // the decision is computed against one consistent generation even while
-  // writers re-key the user concurrently.
-  std::optional<StoredTemplate> stored;
-  double threshold = 0.0;
-  {
-    ReaderLock lock(mutex_, kDeferLock);
-    {
-      MANDIPASS_OBS_TRACE(trace_wait, "auth.batch.shared_lock_wait_us");
-      lock.lock();  // mandilint: allow(raw-lock-discipline) -- timed deferred RAII acquire
-    }
-    stored = lookup_locked(user);
-    threshold = threshold_locked();
-  }
-  if (const auto reject = reject_template(user, stored ? &*stored : nullptr, raw_probe.size())) {
-    return count_reject(*reject);
-  }
-  BatchDecision out;
-  out.known = true;
-  out.key_version = stored->key_version;
-  const auto g = cache_->get(stored->matrix_seed, raw_probe.size());
-  const auto transformed = g->transform(raw_probe);
-  const Verifier v(threshold);
-  out.decision = v.verify(transformed, stored->data);
-  if (out.decision.accepted) {
-    MANDIPASS_OBS_COUNT("auth.batch.verify_accepted");
-    out.status = BatchStatus::Accepted;
-  } else {
-    MANDIPASS_OBS_COUNT("auth.batch.verify_rejected");
-    out.status = BatchStatus::Rejected;
-  }
-  return out;
-}
-
-namespace {
-
 /// Writes the typed deadline-expired decision for one request slot.
 /// Expired requests report known=false regardless of enrolment: the
 /// service never looked at the store, and saying so is more honest than
@@ -174,10 +127,10 @@ void mark_expired(BatchDecision& out) {
 
 }  // namespace
 
-CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> requests,
-                                              std::span<const std::size_t> indices,
-                                              std::span<BatchDecision> decisions,
-                                              const common::Deadline& deadline) const {
+template <typename Requests>
+CoalesceStats BatchVerifier::decide(const Requests& requests, std::span<const std::size_t> indices,
+                                    std::span<BatchDecision> decisions,
+                                    const common::Deadline& deadline) const {
   MANDIPASS_EXPECTS(decisions.size() == requests.size());
   CoalesceStats cs;
   if (indices.empty()) {
@@ -192,8 +145,8 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     }
     return cs;
   }
-  // Phase 1 — the probe gate, identical to verify_one: malformed probes
-  // become typed decisions before any lock is taken.
+  // Phase 1 — the probe gate: malformed probes become typed decisions
+  // before any lock is taken.
   std::vector<std::size_t> valid;
   valid.reserve(indices.size());
   for (const std::size_t i : indices) {
@@ -204,6 +157,9 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     }
     decisions[i] = BatchDecision{};
     valid.push_back(i);
+  }
+  if (valid.empty()) {
+    return cs;
   }
   // Phase 2 — ONE shared-lock window snapshots every template plus the
   // threshold, so the whole coalesced batch is decided against a single
@@ -227,7 +183,7 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
   // probe dim). std::map keys keep group order deterministic.
   std::map<std::pair<std::uint64_t, std::size_t>, std::vector<std::size_t>> groups;
   for (std::size_t k = 0; k < valid.size(); ++k) {
-    const VerifyRequest& req = requests[valid[k]];
+    const auto& req = requests[valid[k]];
     const StoredTemplate* stored = snaps[k] ? &*snaps[k] : nullptr;
     if (const auto reject = reject_template(req.user, stored, req.raw_probe.size())) {
       decisions[valid[k]] = count_reject(*reject);
@@ -237,8 +193,8 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
   }
   // Phase 4 — one packed-GEMM tile per group: pack the member probes
   // contiguously and stream the group's matrix once per kXTile probes.
-  // transform_batch keeps verify_one's per-element accumulation order,
-  // so every distance below is bit-identical to the per-request path.
+  // transform_batch keeps transform()'s per-element accumulation order,
+  // so every distance below is bit-identical to a lone transform.
   const Verifier v(threshold);
   std::vector<float> xs;
   std::vector<float> transformed;
@@ -290,6 +246,27 @@ CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> req
     }
   }
   return cs;
+}
+
+CoalesceStats BatchVerifier::verify_coalesced(std::span<const VerifyRequest> requests,
+                                              std::span<const std::size_t> indices,
+                                              std::span<BatchDecision> decisions,
+                                              const common::Deadline& deadline) const {
+  return decide(requests, indices, decisions, deadline);
+}
+
+BatchDecision BatchVerifier::verify_one(const std::string& user,
+                                        std::span<const float> raw_probe) const {
+  MANDIPASS_OBS_TRACE(trace_verify, "auth.batch.verify_us");
+  struct RequestView {
+    const std::string& user;
+    std::span<const float> raw_probe;
+  };
+  const std::array<RequestView, 1> request{{{user, raw_probe}}};
+  constexpr std::size_t kOnly = 0;
+  BatchDecision out;
+  decide(request, {&kOnly, 1}, {&out, 1}, common::Deadline{});
+  return out;
 }
 
 BatchResult BatchVerifier::verify_batch(std::span<const VerifyRequest> requests,

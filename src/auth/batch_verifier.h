@@ -140,13 +140,14 @@ class BatchVerifier {
   bool revoke(const std::string& user) MANDIPASS_EXCLUDES(mutex_);
 
   /// Consistent copy of the user's sealed template (shared lock).
-  std::optional<StoredTemplate> snapshot(const std::string& user) const
+  std::optional<StoredTemplate> lookup(const std::string& user) const
       MANDIPASS_EXCLUDES(mutex_);
 
   /// Enrolled-user count (shared lock).
   std::size_t size() const MANDIPASS_EXCLUDES(mutex_);
 
-  /// Verifies one request against the current template generation.
+  /// Verifies one request against the current template generation: the
+  /// verify_coalesced body run on a group of one with no deadline.
   BatchDecision verify_one(const std::string& user, std::span<const float> raw_probe) const
       MANDIPASS_EXCLUDES(mutex_);
 
@@ -166,8 +167,8 @@ class BatchVerifier {
   /// decision vector. Decisions are bit-identical to verify_one on the
   /// same snapshot — including duplicate user ids, which simply resolve
   /// to the same snapshotted template — and land at their request's own
-  /// index, so the caller's ordering can never invert. Totality matches
-  /// verify_one: malformed probes and unknown ids become typed decisions.
+  /// index, so the caller's ordering can never invert. The API is total:
+  /// malformed probes and unknown ids become typed decisions.
   ///
   /// `deadline` bounds the call: if it is already expired on entry every
   /// indexed request short-circuits to an Expired decision before any
@@ -207,6 +208,14 @@ class BatchVerifier {
   std::optional<StoredTemplate> lookup_locked(const std::string& user) const
       MANDIPASS_REQUIRES_SHARED(mutex_);
   double threshold_locked() const MANDIPASS_REQUIRES_SHARED(mutex_);
+
+  /// The one decision body behind verify_coalesced and verify_one.
+  /// `Requests` is indexable and its elements have `user` and
+  /// `raw_probe`, so verify_one passes its request as a view, uncopied.
+  template <typename Requests>
+  CoalesceStats decide(const Requests& requests, std::span<const std::size_t> indices,
+                       std::span<BatchDecision> decisions,
+                       const common::Deadline& deadline) const MANDIPASS_EXCLUDES(mutex_);
 
   mutable common::SharedMutex mutex_;
   Verifier verifier_ MANDIPASS_GUARDED_BY(mutex_);    ///< threshold can be re-tuned

@@ -12,9 +12,9 @@
 // Concurrency: a GaussianMatrix is immutable after construction (the
 // packed kernel is built in the ctor; transform() is const and touches
 // no mutable state), so const instances are freely shared across threads
-// — BatchVerifier's seed-keyed cache hands out shared_ptr<const
-// GaussianMatrix> and only the map itself is lock-guarded
-// (MANDIPASS_GUARDED_BY(cache_mutex_)).
+// — MatrixCache hands out shared_ptr<const GaussianMatrix> and only its
+// map and recency list are lock-guarded (MANDIPASS_GUARDED_BY(mutex_) in
+// auth/matrix_cache.h).
 #pragma once
 
 #include <cstdint>
@@ -36,7 +36,7 @@ class GaussianMatrix {
   /// Runs on the packed register-blocked kernel (nn::PackedGemm) with G
   /// packed column-major at construction, so out[j] keeps the reference
   /// ascending-i accumulation order while the matrix is streamed once in
-  /// blocks of 8 outputs (BatchVerifier's per-probe hot loop).
+  /// blocks of nn::PackedGemm::kOcBlock outputs.
   std::vector<float> transform(std::span<const float> x) const;
 
   /// Coalesced transform of `count` probes sharing this matrix: `xs`

@@ -50,6 +50,15 @@ std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::
     }
   }
   MANDIPASS_OBS_COUNT("auth.batch.matrix_cache_misses");
+  {
+    // Make room before the build: a full cache drops its LRU entry now,
+    // so that matrix (unless a caller still holds it) is freed before the
+    // new one is allocated and the build writes into warm memory.
+    MutexLock lock(mutex_);
+    if (!cache_.contains(seed)) {
+      evict_above(config_.max_entries - 1);
+    }
+  }
   // Build outside any lock (dim^2 RNG draws), then publish. A losing
   // racer's matrix is identical by construction, so either copy is fine.
   auto fresh = std::make_shared<const GaussianMatrix>(seed, dim);
@@ -59,7 +68,7 @@ std::shared_ptr<const GaussianMatrix> MatrixCache::get(std::uint64_t seed, std::
   if (inserted) {
     recency_.push_front(seed);
     it->second = Entry{std::move(fresh), crc, recency_.begin()};
-    evict_over_cap();
+    evict_above(config_.max_entries);
   } else if (it->second.matrix->dim() != dim) {
     it->second.matrix = std::move(fresh);
     it->second.crc = crc;
@@ -99,10 +108,11 @@ bool MatrixCache::corrupt_integrity_for_test(std::uint64_t seed) {
   return true;
 }
 
-void MatrixCache::evict_over_cap() {
-  while (cache_.size() > config_.max_entries) {
-    // recency_ back = least recently used; never the entry just pushed
-    // to the front, so the caller's matrix survives its own insert.
+void MatrixCache::evict_above(std::size_t limit) {
+  while (cache_.size() > limit) {
+    // recency_ back = least recently used; with limit = max_entries >= 1
+    // never the entry just pushed to the front, so the caller's matrix
+    // survives its own insert.
     const std::uint64_t victim = recency_.back();
     recency_.pop_back();
     cache_.erase(victim);

@@ -13,7 +13,9 @@
 // forever. The cache now holds at most `max_entries` matrices and evicts
 // the least-recently-used seed past the cap ("auth.matrix_cache.evicted").
 // Out-standing shared_ptrs keep an evicted matrix alive for callers that
-// already hold it; only the cache's reference is dropped.
+// already hold it; only the cache's reference is dropped. A miss on a
+// full cache evicts before it builds, so the build can reuse the evicted
+// matrix's memory while it is still warm.
 //
 // Integrity (PR 9): each entry records the CRC32 of its packed kernel
 // bytes at insert and re-verifies on every hit. A mismatch means the
@@ -106,14 +108,15 @@ class MatrixCache {
   };
 
   Snapshot snapshot(std::uint64_t seed, std::size_t dim) const MANDIPASS_EXCLUDES(mutex_);
-  void evict_over_cap() MANDIPASS_REQUIRES(mutex_);
+  /// Drops least-recently-used entries until at most `limit` remain.
+  void evict_above(std::size_t limit) MANDIPASS_REQUIRES(mutex_);
 
   MatrixCacheConfig config_;
   mutable common::Mutex mutex_;
   std::unordered_map<std::uint64_t, Entry> cache_ MANDIPASS_GUARDED_BY(mutex_);
   /// Front = most recently used. std::list so Entry::lru iterators stay
   /// valid across splices; size is slaved to cache_ (bounded by
-  /// max_entries via evict_over_cap).
+  /// max_entries via evict_above).
   std::list<std::uint64_t> recency_ MANDIPASS_GUARDED_BY(mutex_);
 };
 

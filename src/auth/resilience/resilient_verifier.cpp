@@ -51,7 +51,7 @@ BatchDecision ResilientVerifier::degraded_one(std::size_t s, const VerifyRequest
     return rejected_decision(*reject);
   }
   const BatchVerifier& shard = engine_.shard(s);
-  const auto stored = shard.snapshot(request.user);
+  const auto stored = shard.lookup(request.user);
   if (const auto reject =
           reject_template(request.user, stored ? &*stored : nullptr, request.raw_probe.size())) {
     return rejected_decision(*reject);

@@ -38,8 +38,8 @@ bool ShardedVerifier::revoke(const std::string& user) {
   return shards_[shard_for(user)]->revoke(user);
 }
 
-std::optional<StoredTemplate> ShardedVerifier::snapshot(const std::string& user) const {
-  return shards_[shard_for(user)]->snapshot(user);
+std::optional<StoredTemplate> ShardedVerifier::lookup(const std::string& user) const {
+  return shards_[shard_for(user)]->lookup(user);
 }
 
 std::size_t ShardedVerifier::size() const {

@@ -75,14 +75,14 @@ class ShardedVerifier {
   bool revoke(const std::string& user);
 
   /// Consistent copy of the user's sealed template from the owning shard.
-  std::optional<StoredTemplate> snapshot(const std::string& user) const;
+  std::optional<StoredTemplate> lookup(const std::string& user) const;
 
   /// Total enrolled users across all shards. Each shard is counted under
   /// its own lock; concurrent writers may move the total between reads.
   std::size_t size() const;
 
-  /// Verifies one request on the owning shard (no coalescing: a single
-  /// request has nothing to share a matrix pass with).
+  /// Verifies one request on the owning shard (BatchVerifier::verify_one:
+  /// the coalesced body, as a group of one).
   BatchDecision verify_one(const std::string& user, std::span<const float> raw_probe) const;
 
   /// Routes requests to their shards, fans the shards out over `pool`

@@ -102,10 +102,6 @@ bool TemplateStore::revoke(const std::string& user) {
   return store_.erase(user) > 0;
 }
 
-std::optional<StoredTemplate> TemplateStore::steal(const std::string& user) const {
-  return lookup(user);
-}
-
 void TemplateStore::save_body(std::ostream& os) const {
   nn::write_u64(os, store_.size());
   for (const auto& [user, tmpl] : store_) {
@@ -281,14 +277,6 @@ common::Result<LoadReport> TemplateStore::load_file(const std::string& path) {
   }
   return common::make_error(common::ErrorCode::IoError,
                             "cannot open template store '" + path + "'");
-}
-
-std::size_t TemplateStore::storage_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& [user, tmpl] : store_) {
-    bytes += tmpl.data.size() * sizeof(float) + sizeof(StoredTemplate);
-  }
-  return bytes;
 }
 
 }  // namespace mandipass::auth

@@ -4,9 +4,9 @@
 // The real system keeps the cancelable MandiblePrint template in the
 // earphone's secure enclave. We model the enclave's *interface* — sealed
 // storage addressed by user id, with the template only released to the
-// verifier — plus an explicit `steal()` API that the replay-attack bench
-// uses to model enclave compromise (Section VI's replay attacker "steals
-// the MandiblePrint template stored in the secure enclave").
+// verifier. What a compromised enclave leaks (Section VI's replay
+// attacker "steals the MandiblePrint template stored in the secure
+// enclave") is exactly what lookup() returns.
 //
 // Persistence (DESIGN.md §12) is versioned and checksummed:
 //
@@ -66,22 +66,10 @@ class TemplateStore {
   /// Fetches the sealed template (verification path).
   std::optional<StoredTemplate> lookup(const std::string& user) const;
 
-  /// Whether `user` has a sealed template. Copies nothing, unlike
-  /// lookup(): for existence checks ahead of the verification path.
-  bool contains(const std::string& user) const { return store_.contains(user); }
-
   /// Deletes a user's template; returns false if absent.
   bool revoke(const std::string& user);
 
-  /// Attack-model API: what a compromised enclave leaks. Identical data
-  /// to lookup(), but kept as a separate, loudly named entry point so the
-  /// security benches read honestly.
-  std::optional<StoredTemplate> steal(const std::string& user) const;
-
   std::size_t size() const { return store_.size(); }
-
-  /// Total bytes consumed by sealed templates (Section VII-E accounting).
-  std::size_t storage_bytes() const;
 
   /// Persistence: binary dump/restore of every sealed template (what the
   /// enclave's sealed blob would hold across reboots). save() writes the

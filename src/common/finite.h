@@ -12,6 +12,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <span>
 
 namespace mandipass::common {
 
@@ -25,6 +26,18 @@ inline bool is_finite(double v) {
 inline bool is_finite(float v) {
   const auto bits = std::bit_cast<std::uint32_t>(v);
   return ((bits >> 23) & 0xFFU) != 0xFFU;
+}
+
+/// True iff every value is finite. The loop has no early exit, so the
+/// compiler vectorizes it; callers find the offending index with
+/// is_finite only after this has failed.
+inline bool all_finite(std::span<const double> xs) {
+  constexpr std::uint64_t kExponent = 0x7FFULL << 52;
+  std::uint64_t bad = 0;
+  for (const double v : xs) {
+    bad |= static_cast<std::uint64_t>((std::bit_cast<std::uint64_t>(v) & kExponent) == kExponent);
+  }
+  return bad == 0;
 }
 
 }  // namespace mandipass::common

@@ -1,15 +1,18 @@
 #include "core/mandipass.h"
 
-#include "auth/gaussian_matrix.h"
 #include "common/error.h"
 
 namespace mandipass::core {
 
+/// One wearer per earbud: the cache holds the matrix of the last key
+/// used, so repeat verifies by the same user are checked hits.
+constexpr std::size_t kFacadeCacheEntries = 1;
+
 MandiPass::MandiPass(std::shared_ptr<BiometricExtractor> extractor, MandiPassConfig config)
     : extractor_(std::move(extractor)),
-      config_(config),
       prep_(config.prep),
-      verifier_(config.threshold),
+      cache_(std::make_shared<auth::MatrixCache>(auth::MatrixCacheConfig{kFacadeCacheEntries})),
+      engine_(config.threshold, cache_),
       key_rng_(config.key_seed) {
   MANDIPASS_EXPECTS(extractor_ != nullptr);
 }
@@ -60,43 +63,40 @@ common::Result<std::size_t> MandiPass::try_enroll(const std::string& user,
 
 void MandiPass::seal_template(const std::string& user, const std::vector<float>& print) {
   const std::uint64_t seed = key_rng_();
-  const auth::GaussianMatrix g(seed, print.size());
   auth::StoredTemplate tmpl;
-  tmpl.data = g.transform(print);
+  tmpl.data = cache_->get(seed, print.size())->transform(print);
   tmpl.matrix_seed = seed;
   tmpl.key_version = 0;
-  const auto previous = store_.lookup(user);
+  const auto previous = engine_.lookup(user);
   if (previous.has_value()) {
     tmpl.key_version = previous->key_version + 1;
   }
-  store_.enroll(user, std::move(tmpl));
+  engine_.enroll(user, std::move(tmpl));
 }
 
 common::Result<auth::Decision> MandiPass::try_verify(const std::string& user,
                                                      const imu::RawRecording& recording) {
   // The template gate's UnknownUser reject, applied before the capture is
   // processed so an unenrolled id costs no extraction.
-  if (!store_.contains(user)) {
+  if (!engine_.lookup(user).has_value()) {
     return std::move(*auth::reject_template(user, nullptr, 0));
   }
   auto print = try_extract_print(recording);
   if (!print.ok()) {
     return print.error();
   }
-  const std::vector<float>& probe = print.value();
-  if (auto reject = auth::reject_probe(probe)) {
-    return std::move(*reject);
+  const auth::BatchDecision d = engine_.verify_one(user, print.value());
+  if (!d.known) {
+    // The engine's gate already counted this reject (make_error), so the
+    // error is built directly to keep it at one fault.reject.* count.
+    return common::Error{d.reason, "verification rejected for user '" + user +
+                                       "': " + std::string(common::error_code_name(d.reason))};
   }
-  const auto stored = store_.lookup(user);
-  if (auto reject = auth::reject_template(user, stored ? &*stored : nullptr, probe.size())) {
-    return std::move(*reject);
-  }
-  const auth::GaussianMatrix g(stored->matrix_seed, probe.size());
-  return verifier_.verify(g.transform(probe), stored->data);
+  return d.decision;
 }
 
 void MandiPass::rekey(const std::string& user, const imu::RawRecording& recording) {
-  MANDIPASS_EXPECTS(store_.contains(user));
+  MANDIPASS_EXPECTS(engine_.lookup(user).has_value());
   // A one-recording mean is the print itself (0 + x, then / 1, both
   // exact), so the sealed bits are those of the recording's own print.
   auto result = try_enroll(user, {&recording, 1});

@@ -9,15 +9,17 @@
 // reason (DESIGN.md §12); check ok() and route on code().
 //
 // Internally: Section IV preprocessing -> gradient array -> two-branch CNN
-// MandiblePrint -> Gaussian cancelable transform -> sealed template store
-// (enroll) or cosine-distance threshold decision (verify).
+// MandiblePrint, then the service's auth::BatchVerifier: the Gaussian
+// cancelable transform from a one-entry auth::MatrixCache (one wearer per
+// earbud) -> sealed template (enroll) or cosine-distance threshold
+// decision (verify).
 #pragma once
 
 #include <memory>
 #include <string>
 
-#include "auth/template_store.h"
-#include "auth/verifier.h"
+#include "auth/batch_verifier.h"
+#include "auth/matrix_cache.h"
 #include "common/result.h"
 #include "core/dataset_builder.h"
 #include "core/extractor.h"
@@ -63,21 +65,21 @@ class MandiPass {
   void rekey(const std::string& user, const imu::RawRecording& recording);
 
   /// Removes a user entirely.
-  bool revoke(const std::string& user) { return store_.revoke(user); }
+  bool revoke(const std::string& user) { return engine_.revoke(user); }
 
-  auth::TemplateStore& store() { return store_; }
-  const auth::Verifier& verifier() const { return verifier_; }
-  void set_threshold(double t) { verifier_.set_threshold(t); }
+  /// The sealed templates (lookup, size), read-only.
+  const auth::BatchVerifier& store() const { return engine_; }
+  double threshold() const { return engine_.threshold(); }
+  void set_threshold(double t) { engine_.set_threshold(t); }
 
  private:
-  /// Transforms a raw print with a fresh Gaussian matrix and seals it.
+  /// Transforms a raw print with a fresh key's Gaussian matrix and seals it.
   void seal_template(const std::string& user, const std::vector<float>& print);
 
   std::shared_ptr<BiometricExtractor> extractor_;
-  MandiPassConfig config_;
   Preprocessor prep_;
-  auth::Verifier verifier_;
-  auth::TemplateStore store_;
+  std::shared_ptr<auth::MatrixCache> cache_;
+  auth::BatchVerifier engine_;  ///< the service's decision path, over cache_
   Rng key_rng_;
 };
 

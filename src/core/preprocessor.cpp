@@ -136,18 +136,22 @@ common::Result<SignalArray> Preprocessor::try_process(const imu::RawRecording& r
   if (config_.robust_checks) {
     // The refine window and the segment feed median sorts (MAD, peak
     // alignment) that NaN would poison with UB; scan the span both can
-    // touch. ~6 x segment_length isfinite checks on the clean path.
+    // touch. ~6 x segment_length vectorized checks on the clean path.
     const std::size_t guard_end =
         std::min(n, start + 2 * config_.peak_align_radius + config_.segment_length);
     for (std::size_t a = 0; a < imu::kAxisCount; ++a) {
-      for (std::size_t i = start; i < guard_end; ++i) {
-        if (!common::is_finite(recording.axes[a][i])) {
-          MANDIPASS_OBS_COUNT("core.prep.nonfinite_segment");
-          return make_error(ErrorCode::NonFiniteSample,
-                            "non-finite sample at index " + std::to_string(i) + " of axis " +
-                                std::to_string(a) + " inside the vibration segment");
-        }
+      const auto& axis = recording.axes[a];
+      if (common::all_finite(std::span(axis).subspan(start, guard_end - start))) {
+        continue;
       }
+      std::size_t i = start;
+      while (common::is_finite(axis[i])) {
+        ++i;
+      }
+      MANDIPASS_OBS_COUNT("core.prep.nonfinite_segment");
+      return make_error(ErrorCode::NonFiniteSample,
+                        "non-finite sample at index " + std::to_string(i) + " of axis " +
+                            std::to_string(a) + " inside the vibration segment");
     }
   }
   if (config_.peak_align_radius > 0) {
@@ -198,12 +202,10 @@ common::Result<SignalArray> Preprocessor::try_process(const imu::RawRecording& r
     // any residual numeric blow-up into a typed reject instead of a
     // garbage embedding that still gets matched.
     for (const auto& axis : out.axes) {
-      for (double v : axis) {
-        if (!common::is_finite(v)) {
-          MANDIPASS_OBS_COUNT("core.prep.nonfinite_output");
-          return make_error(ErrorCode::NonFiniteSample,
-                            "non-finite value in the normalised signal array");
-        }
+      if (!common::all_finite(axis)) {
+        MANDIPASS_OBS_COUNT("core.prep.nonfinite_output");
+        return make_error(ErrorCode::NonFiniteSample,
+                          "non-finite value in the normalised signal array");
       }
     }
   }

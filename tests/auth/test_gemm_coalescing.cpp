@@ -4,8 +4,8 @@
 // a lone GaussianMatrix::transform() produces — the kernels share the
 // ascending-k accumulation order for every tile shape, so batching is
 // purely a bandwidth optimisation. Exercised at batch sizes 1 / 3 / 16 /
-// 257 (off the kXTile=4 and kOcBlock=16 grids) and through
-// BatchVerifier::verify_coalesced for mixed-seed request sets.
+// 257 (off the kXTile=4 and kOcBlock=16 grids) at dims 48 / 63 / 512,
+// and through BatchVerifier::verify_coalesced for mixed-seed request sets.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -58,22 +58,23 @@ TEST(GemmCoalescing, RunXMajorIsRunTransposed) {
 }
 
 TEST(GemmCoalescing, TransformBatchBitIdenticalAtEveryBatchSize) {
-  constexpr std::size_t kDim = 48;
-  const GaussianMatrix g(0xBEEF, kDim);
-  for (const std::size_t count : {std::size_t{1}, std::size_t{3}, std::size_t{16},
-                                  std::size_t{257}}) {
-    Rng rng(0x40 + count);
-    std::vector<float> xs(count * kDim);
-    for (float& v : xs) {
-      v = static_cast<float>(rng.uniform(-1.0, 1.0));
-    }
-    std::vector<float> out(count * kDim);
-    g.transform_batch(xs, count, out);
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::span<const float> probe(xs.data() + i * kDim, kDim);
-      const auto lone = g.transform(probe);
-      for (std::size_t j = 0; j < kDim; ++j) {
-        ASSERT_EQ(out[i * kDim + j], lone[j]) << "count=" << count << " i=" << i << " j=" << j;
+  // Dims 48 and 63 sit on and off the 16-output block grid; 512 is the
+  // paper's shape, where the facade's verify_one rides a tile of one.
+  for (const std::size_t dim : {std::size_t{48}, std::size_t{63}, std::size_t{512}}) {
+    const GaussianMatrix g(0xBEEF, dim);
+    for (const std::size_t count : {std::size_t{1}, std::size_t{3}, std::size_t{16},
+                                    std::size_t{257}}) {
+      Rng rng(0x40 + count);
+      const auto xs = random_vec(rng, count * dim);
+      std::vector<float> out(count * dim);
+      g.transform_batch(xs, count, out);
+      for (std::size_t i = 0; i < count; ++i) {
+        const std::span<const float> probe(xs.data() + i * dim, dim);
+        const auto lone = g.transform(probe);
+        for (std::size_t j = 0; j < dim; ++j) {
+          ASSERT_EQ(out[i * dim + j], lone[j])
+              << "dim=" << dim << " count=" << count << " i=" << i << " j=" << j;
+        }
       }
     }
   }

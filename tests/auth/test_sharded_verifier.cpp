@@ -125,7 +125,7 @@ TEST(ShardedVerifier, SingleRequestOpsRouteToOwningShard) {
 
   for (ShardedVerifier* engine : {&engines.s1, &engines.s2, &engines.s8}) {
     EXPECT_EQ(engine->size(), 1u);
-    const auto snap = engine->snapshot("alice");
+    const auto snap = engine->lookup("alice");
     ASSERT_TRUE(snap.has_value());
     EXPECT_EQ(snap->key_version, 3u);
     const BatchDecision d = engine->verify_one("alice", print);
@@ -137,7 +137,7 @@ TEST(ShardedVerifier, SingleRequestOpsRouteToOwningShard) {
   engines.revoke("alice");
   for (ShardedVerifier* engine : {&engines.s1, &engines.s2, &engines.s8}) {
     EXPECT_EQ(engine->size(), 0u);
-    EXPECT_FALSE(engine->snapshot("alice").has_value());
+    EXPECT_FALSE(engine->lookup("alice").has_value());
     EXPECT_FALSE(engine->revoke("alice"));
   }
 }

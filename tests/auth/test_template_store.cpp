@@ -38,30 +38,12 @@ TEST(TemplateStore, ReEnrollOverwrites) {
   EXPECT_EQ(store.size(), 1u);
 }
 
-TEST(TemplateStore, ContainsTracksEnrollAndRevoke) {
-  TemplateStore store;
-  EXPECT_FALSE(store.contains("alice"));
-  store.enroll("alice", make_template(1.0f, 7));
-  EXPECT_TRUE(store.contains("alice"));
-  EXPECT_FALSE(store.contains("bob"));
-  store.revoke("alice");
-  EXPECT_FALSE(store.contains("alice"));
-}
-
 TEST(TemplateStore, Revoke) {
   TemplateStore store;
   store.enroll("alice", make_template(1.0f, 7));
   EXPECT_TRUE(store.revoke("alice"));
   EXPECT_FALSE(store.lookup("alice").has_value());
   EXPECT_FALSE(store.revoke("alice"));
-}
-
-TEST(TemplateStore, StealMatchesLookup) {
-  TemplateStore store;
-  store.enroll("bob", make_template(3.0f, 9));
-  const auto stolen = store.steal("bob");
-  ASSERT_TRUE(stolen.has_value());
-  EXPECT_EQ(stolen->data, store.lookup("bob")->data);
 }
 
 TEST(TemplateStore, MultipleUsers) {
@@ -71,15 +53,6 @@ TEST(TemplateStore, MultipleUsers) {
   store.enroll("c", make_template(3.0f, 3));
   EXPECT_EQ(store.size(), 3u);
   EXPECT_EQ(store.lookup("b")->matrix_seed, 2u);
-}
-
-TEST(TemplateStore, StorageBytesAccounting) {
-  TemplateStore store;
-  store.enroll("a", make_template(1.0f, 1));
-  const std::size_t one = store.storage_bytes();
-  store.enroll("b", make_template(2.0f, 2));
-  EXPECT_EQ(store.storage_bytes(), 2 * one);
-  EXPECT_GE(one, 16 * sizeof(float));
 }
 
 TEST(TemplateStore, InvalidEnrollThrows) {

@@ -97,7 +97,7 @@ TEST(MultiEnroll, AllUnusableIsATypedCaptureReject) {
   const auto enrolled = system.try_enroll("alice", recordings);
   ASSERT_FALSE(enrolled.ok());
   EXPECT_EQ(enrolled.code(), common::ErrorCode::OnsetNotFound);
-  EXPECT_FALSE(system.store().contains("alice"));
+  EXPECT_FALSE(system.store().lookup("alice").has_value());
 }
 
 TEST(MultiEnroll, EmptyListIsInvalidInput) {

@@ -4,8 +4,11 @@
 
 #include <memory>
 
+#include "auth/cosine.h"
+#include "auth/gaussian_matrix.h"
 #include "common/crc32.h"
 #include "common/error.h"
+#include "common/obs.h"
 
 namespace mandipass::core {
 namespace {
@@ -88,6 +91,57 @@ TEST_F(MandiPassTest, VerifyKnownUserReturnsDecision) {
   EXPECT_LE(d.value().distance, 2.0);
 }
 
+TEST_F(MandiPassTest, DistanceReplaysFromTheSealedKeyBitForBit) {
+  // The facade decides through the service engine (a coalesced tile of
+  // one); its distance must be the reference transform's, bit for bit.
+  MandiPass mp(extractor_);
+  const auto alice = pop_.sample();
+  ASSERT_TRUE(enroll(mp, "alice", record(alice)).ok());
+  const auto tmpl = mp.store().lookup("alice");
+  ASSERT_TRUE(tmpl.has_value());
+  for (const auto& person : {alice, pop_.sample()}) {  // genuine, then impostor
+    const auto probe = record(person);
+    const auto d = mp.try_verify("alice", probe);
+    ASSERT_TRUE(d.ok());
+    const auto print = mp.try_extract_print(probe);
+    ASSERT_TRUE(print.ok());
+    const auth::GaussianMatrix g(tmpl->matrix_seed, print.value().size());
+    EXPECT_EQ(d.value().distance, auth::cosine_distance(g.transform(print.value()), tmpl->data));
+  }
+}
+
+TEST_F(MandiPassTest, OneEntryKeyCacheCountsHitsMissesAndEvictions) {
+  const auto count = [](const char* name) { return common::obs::counter(name).value(); };
+  const auto hits = [&] { return count("auth.batch.matrix_cache_hits"); };
+  const auto misses = [&] { return count("auth.batch.matrix_cache_misses"); };
+  const auto evicted = [&] { return count("auth.matrix_cache.evicted"); };
+  MandiPass mp(extractor_);
+  const auto alice = pop_.sample();
+  const auto bob = pop_.sample();
+
+  auto h = hits();
+  auto m = misses();
+  auto e = evicted();
+  ASSERT_TRUE(enroll(mp, "alice", record(alice)).ok());
+  EXPECT_EQ(hits() - h, 0u);
+  EXPECT_EQ(misses() - m, 1u);
+  EXPECT_EQ(evicted() - e, 0u);
+
+  h = hits();
+  m = misses();
+  ASSERT_TRUE(mp.try_verify("alice", record(alice)).ok());
+  EXPECT_EQ(hits() - h, 1u);
+  EXPECT_EQ(misses() - m, 0u);
+
+  h = hits();
+  m = misses();
+  e = evicted();
+  ASSERT_TRUE(enroll(mp, "bob", record(bob)).ok());
+  EXPECT_EQ(hits() - h, 0u);
+  EXPECT_EQ(misses() - m, 1u);
+  EXPECT_EQ(evicted() - e, 1u);
+}
+
 TEST_F(MandiPassTest, RekeyChangesMatrixSeedAndBumpsVersion) {
   MandiPass mp(extractor_);
   const auto person = pop_.sample();
@@ -148,7 +202,7 @@ TEST_F(MandiPassTest, RekeyWithSilentRecordingThrowsSignalError) {
 TEST_F(MandiPassTest, ThresholdAdjustable) {
   MandiPass mp(extractor_);
   mp.set_threshold(0.1);
-  EXPECT_DOUBLE_EQ(mp.verifier().threshold(), 0.1);
+  EXPECT_DOUBLE_EQ(mp.threshold(), 0.1);
 }
 
 TEST_F(MandiPassTest, NullExtractorThrows) {

@@ -164,7 +164,7 @@ TEST_F(EndToEnd, ReplayAfterRekeyRejected) {
   const auto& alice = (*users_)[0];
   enroll(system, "alice", record(alice));
   // Attacker steals the sealed template...
-  const auto stolen = system.store().steal("alice");
+  const auto stolen = system.store().lookup("alice");
   ASSERT_TRUE(stolen.has_value());
   // ...the user re-keys with a fresh Gaussian matrix...
   system.rekey("alice", record(alice));
