@@ -79,6 +79,16 @@ job_chaos_asan() {
     build-asan/bench/bench_chaos --quick
 }
 
+# The same storms under ThreadSanitizer: admission, stalls and degraded
+# serving run on the caller thread while healthy shards run on the pool,
+# and bench_chaos drives both with real workers. Verdict-gated like
+# chaos-asan; the tsan preset builds without benches, so re-enable them.
+job_chaos_tsan() {
+  cmake --preset tsan -DMANDIPASS_BUILD_BENCH=ON >/dev/null &&
+    cmake --build --preset tsan -j "$JOBS" --target bench_chaos &&
+    build-tsan/bench/bench_chaos --quick
+}
+
 run_job "build-werror"  job_build_werror
 run_job "bench-smoke"   job_bench_smoke
 run_job "no-obs"        job_no_obs
@@ -86,6 +96,7 @@ run_job "no-simd"       job_no_simd
 run_job "fault"         job_fault
 run_job "sanitize"      job_sanitize
 run_job "chaos-asan"    job_chaos_asan
+run_job "chaos-tsan"    job_chaos_tsan
 run_job "clang-tidy"    scripts/run_tidy.sh
 run_job "tsafety"       scripts/tsafety.sh
 run_job "mandilint"     scripts/lint.sh
@@ -93,7 +104,7 @@ run_job "mandilint"     scripts/lint.sh
 echo
 echo "==== ci summary ===="
 FAIL=0
-for name in build-werror bench-smoke no-obs no-simd fault sanitize chaos-asan clang-tidy tsafety mandilint; do
+for name in build-werror bench-smoke no-obs no-simd fault sanitize chaos-asan chaos-tsan clang-tidy tsafety mandilint; do
   echo "  $name: ${STATUS[$name]}"
   [ "${STATUS[$name]}" = ok ] || FAIL=1
 done

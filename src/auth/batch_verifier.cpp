@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <map>
 #include <utility>
 
@@ -99,6 +98,22 @@ BatchDecision rejected_decision(const common::Error& error) {
   return out;
 }
 
+BatchDecision expired_decision() {
+  BatchDecision out;
+  out.status = BatchStatus::Expired;
+  out.reason = common::make_error(common::ErrorCode::DeadlineExceeded,
+                                  "request budget exhausted before verification")
+                   .code;
+  return out;
+}
+
+BatchDecision shed_decision(const char* detail) {
+  BatchDecision out;
+  out.status = BatchStatus::Shed;
+  out.reason = common::make_error(common::ErrorCode::Overloaded, detail).code;
+  return out;
+}
+
 namespace {
 
 /// BatchVerifier's accounting of a gate reject: the typed decision plus
@@ -112,17 +127,11 @@ BatchDecision count_reject(const common::Error& error) {
   return rejected_decision(error);
 }
 
-/// Writes the typed deadline-expired decision for one request slot.
-/// Expired requests report known=false regardless of enrolment: the
-/// service never looked at the store, and saying so is more honest than
-/// a half-answered lookup.
-void mark_expired(BatchDecision& out) {
+/// BatchVerifier's accounting of an expired request: the typed decision
+/// plus its auth.batch.verify_expired counter.
+BatchDecision count_expired() {
   MANDIPASS_OBS_COUNT("auth.batch.verify_expired");
-  out = BatchDecision{};
-  out.status = BatchStatus::Expired;
-  out.reason = common::make_error(common::ErrorCode::DeadlineExceeded,
-                                  "request budget exhausted before verification")
-                   .code;
+  return expired_decision();
 }
 
 }  // namespace
@@ -141,7 +150,7 @@ CoalesceStats BatchVerifier::decide(const Requests& requests, std::span<const st
   if (deadline.expired()) {
     for (const std::size_t i : indices) {
       MANDIPASS_OBS_COUNT("auth.batch.verify_total");
-      mark_expired(decisions[i]);
+      decisions[i] = count_expired();
     }
     return cs;
   }
@@ -209,7 +218,7 @@ CoalesceStats BatchVerifier::decide(const Requests& requests, std::span<const st
     }
     if (budget_gone) {
       for (const std::size_t k : members) {
-        mark_expired(decisions[valid[k]]);
+        decisions[valid[k]] = count_expired();
       }
       continue;
     }
@@ -272,38 +281,16 @@ BatchDecision BatchVerifier::verify_one(const std::string& user,
 BatchResult BatchVerifier::verify_batch(std::span<const VerifyRequest> requests,
                                         common::ThreadPool* pool) const {
   MANDIPASS_OBS_TRACE(trace_batch, "auth.batch.batch_us");
-  using clock = std::chrono::steady_clock;
   common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::global();
 
   BatchResult result;
   result.decisions.resize(requests.size());
-  std::vector<double> request_ms(requests.size(), 0.0);
-
-  const auto batch_start = clock::now();
   tp.parallel_for(0, requests.size(), 1, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
-      const auto t0 = clock::now();
       result.decisions[i] = verify_one(requests[i].user, requests[i].raw_probe);
-      request_ms[i] = std::chrono::duration<double, std::milli>(clock::now() - t0).count();
     }
   });
-  const double wall_ms =
-      std::chrono::duration<double, std::milli>(clock::now() - batch_start).count();
-
   result.stats = tally(result.decisions);
-  BatchStats& s = result.stats;
-  s.wall_ms = wall_ms;
-  double sum_ms = 0.0;
-  for (const double ms : request_ms) {
-    sum_ms += ms;
-    s.max_request_ms = std::max(s.max_request_ms, ms);
-  }
-  if (s.requests > 0) {
-    s.mean_request_ms = sum_ms / static_cast<double>(s.requests);
-  }
-  if (wall_ms > 0.0) {
-    s.throughput_per_s = static_cast<double>(s.requests) * 1000.0 / wall_ms;
-  }
   return result;
 }
 

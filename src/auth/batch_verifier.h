@@ -81,7 +81,18 @@ struct BatchDecision {
 /// for every other code.
 BatchDecision rejected_decision(const common::Error& error);
 
-/// Aggregate latency / throughput statistics of one verify_batch call.
+/// The typed decision for a request whose budget ran out before it was
+/// served: Expired / DeadlineExceeded, known=false regardless of
+/// enrolment (the store was never consulted). Counts one
+/// fault.reject.deadline_exceeded; service counters stay with the caller.
+BatchDecision expired_decision();
+
+/// The typed decision for a request turned away before service: Shed /
+/// Overloaded. Counts one fault.reject.overloaded; service counters stay
+/// with the caller.
+BatchDecision shed_decision(const char* detail);
+
+/// Per-status counts of one verify_batch call.
 struct BatchStats {
   std::size_t requests = 0;
   std::size_t known = 0;           ///< requests that matched an enrolment
@@ -91,10 +102,6 @@ struct BatchStats {
   std::size_t expired = 0;         ///< deadline-expired before service
   std::size_t shed = 0;            ///< load-shed at admission
   std::size_t degraded = 0;        ///< served in degraded (circuit-open) mode
-  double wall_ms = 0.0;            ///< batch wall-clock time
-  double mean_request_ms = 0.0;    ///< mean per-request service time
-  double max_request_ms = 0.0;     ///< worst per-request service time
-  double throughput_per_s = 0.0;   ///< requests / wall seconds
 };
 
 struct BatchResult {
@@ -103,8 +110,7 @@ struct BatchResult {
 };
 
 /// The per-status counts of `decisions`: requests, known, accepted,
-/// unknown, invalid, expired, shed and degraded. Timing fields stay 0 for
-/// the calling engine to fill in.
+/// unknown, invalid, expired, shed and degraded.
 BatchStats tally(std::span<const BatchDecision> decisions);
 
 /// Per-call accounting of the coalescing path (verify_coalesced): how
@@ -152,7 +158,7 @@ class BatchVerifier {
       MANDIPASS_EXCLUDES(mutex_);
 
   /// Verifies a batch, fanning requests out over `pool` (the global pool
-  /// when null). Returns per-request decisions plus aggregate stats.
+  /// when null). Returns per-request decisions plus their tally.
   BatchResult verify_batch(std::span<const VerifyRequest> requests,
                            common::ThreadPool* pool = nullptr) const
       MANDIPASS_EXCLUDES(mutex_);

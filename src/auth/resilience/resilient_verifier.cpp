@@ -3,8 +3,6 @@
 // design (DESIGN.md §12/§17): overload, expiry and malformed requests
 // become typed decisions, not precondition failures.
 
-#include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "auth/verifier.h"
@@ -13,31 +11,12 @@
 
 namespace mandipass::auth::resilience {
 
-namespace {
-
-void mark_expired(BatchDecision& out) {
-  out = BatchDecision{};
-  out.status = BatchStatus::Expired;
-  out.reason = common::make_error(common::ErrorCode::DeadlineExceeded,
-                                  "request budget exhausted before verification")
-                   .code;
-}
-
-void mark_shed(BatchDecision& out, const char* detail) {
-  out = BatchDecision{};
-  out.status = BatchStatus::Shed;
-  out.reason = common::make_error(common::ErrorCode::Overloaded, detail).code;
-}
-
-}  // namespace
-
 ResilientVerifier::ResilientVerifier(std::size_t shards, ResilienceConfig config,
                                      double threshold)
     : config_(config), engine_(shards, threshold) {
-  queues_.reserve(shards);
+  MANDIPASS_EXPECTS(config_.queue_capacity >= 1);
   breakers_.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
-    queues_.push_back(std::make_unique<AdmissionQueue>(config_.queue_capacity));
     breakers_.push_back(std::make_unique<CircuitBreaker>(config_.breaker, config_.clock));
   }
 }
@@ -56,7 +35,6 @@ BatchDecision ResilientVerifier::degraded_one(std::size_t s, const VerifyRequest
           reject_template(request.user, stored ? &*stored : nullptr, request.raw_probe.size())) {
     return rejected_decision(*reject);
   }
-  BatchDecision out;
   // Degraded restriction: serve only matrices the cache already holds.
   // peek never builds (the breaker is open because the shard's
   // dependencies are suspect — constructing fresh state is exactly what
@@ -64,9 +42,9 @@ BatchDecision ResilientVerifier::degraded_one(std::size_t s, const VerifyRequest
   const auto g = engine_.matrix_cache().peek(stored->matrix_seed, request.raw_probe.size());
   if (g == nullptr) {
     ++*degraded_missed;
-    mark_shed(out, "degraded mode: matrix not cached");
-    return out;
+    return shed_decision("degraded mode: matrix not cached");
   }
+  BatchDecision out;
   out.known = true;
   out.key_version = stored->key_version;
   out.degraded = true;
@@ -82,79 +60,68 @@ BatchResult ResilientVerifier::verify_batch(std::span<const VerifyRequest> reque
                                             const common::Deadline& deadline,
                                             common::ThreadPool* pool) {
   MANDIPASS_OBS_TRACE(trace_batch, "auth.resil.batch_us");
-  common::ThreadPool& tp = pool != nullptr ? *pool : common::ThreadPool::global();
   const std::size_t n_shards = engine_.shard_count();
 
   BatchResult result;
   result.decisions.resize(requests.size());
 
-  // Phase A — admission, serial in request order. Determinism rule:
-  // shed/expired counts must be a pure function of (arrival order, queue
-  // capacity, deadline), so no concurrency is allowed to reorder who
-  // meets a full queue.
+  // Admission, serial in request order, into this call's own per-shard
+  // lists. Determinism rule: shed/expired counts must be a pure function
+  // of (arrival order, queue capacity, deadline), so no concurrency is
+  // allowed to reorder who meets a full list.
+  std::vector<std::vector<std::size_t>> admitted(n_shards);
   std::size_t admitted_count = 0;
   std::size_t shed_count = 0;
   std::size_t expired_count = 0;
   for (std::size_t i = 0; i < requests.size(); ++i) {
     if (deadline.expired()) {
-      mark_expired(result.decisions[i]);
+      result.decisions[i] = expired_decision();
       ++expired_count;
       continue;
     }
-    const std::size_t s = engine_.shard_for(requests[i].user);
-    if (!queues_[s]->try_push(i)) {
-      mark_shed(result.decisions[i], "admission queue full");
+    // The list's cap is the admission bound: a full list sheds the newest
+    // arrival, so the requests already admitted keep their place.
+    std::vector<std::size_t>& list = admitted[engine_.shard_for(requests[i].user)];
+    if (list.size() >= config_.queue_capacity) {
+      result.decisions[i] = shed_decision("admission queue full");
       ++shed_count;
       continue;
     }
+    list.push_back(i);
     ++admitted_count;
   }
 
-  // Phase B — per-shard service on the pool. Each shard drains its own
-  // queue and writes disjoint decision slots; per-shard tallies are
-  // aggregated after the join so counter totals are thread-count
-  // invariant.
-  std::vector<std::size_t> shard_expired(n_shards, 0);
-  std::vector<std::size_t> shard_degraded(n_shards, 0);
-  std::vector<std::size_t> shard_degraded_miss(n_shards, 0);
-  tp.parallel_for(0, n_shards, 1, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      const std::vector<std::size_t> admitted = queues_[s]->drain();
-      if (admitted.empty()) {
-        continue;
-      }
-      // A scripted stall is applied as deadline *skew*: the shard acts
-      // as if `stall` microseconds will pass before its work completes.
-      // No clock advances and nothing sleeps, so expiry counts do not
-      // depend on which worker observes the stall first.
-      const std::int64_t stall = faults_.consume_stall(s);
-      if (stall > 0 && deadline.expired_after(stall)) {
-        for (const std::size_t i : admitted) {
-          mark_expired(result.decisions[i]);
-        }
-        shard_expired[s] += admitted.size();
-        continue;
-      }
-      if (breakers_[s]->engaged()) {
-        for (const std::size_t i : admitted) {
-          result.decisions[i] =
-              degraded_one(s, requests[i], &shard_degraded[s], &shard_degraded_miss[s]);
-        }
-        continue;
-      }
-      engine_.shard(s).verify_coalesced(requests, admitted, result.decisions, deadline);
-    }
-  });
-
-  for (std::size_t s = 0; s < n_shards; ++s) {
-    expired_count += shard_expired[s];
-  }
+  // Faulted shards, on the caller thread in shard order; each empties its
+  // list so the engine's fan-out below skips it.
   std::size_t degraded_count = 0;
   std::size_t degraded_miss_count = 0;
   for (std::size_t s = 0; s < n_shards; ++s) {
-    degraded_count += shard_degraded[s];
-    degraded_miss_count += shard_degraded_miss[s];
+    std::vector<std::size_t>& list = admitted[s];
+    if (list.empty()) {
+      continue;
+    }
+    // A scripted stall is applied as deadline *skew*: the shard acts as
+    // if `stall` microseconds will pass before its work completes. No
+    // clock advances and nothing sleeps, so expiry counts do not depend
+    // on scheduling.
+    const std::int64_t stall = faults_.consume_stall(s);
+    if (stall > 0 && deadline.expired_after(stall)) {
+      for (const std::size_t i : list) {
+        result.decisions[i] = expired_decision();
+      }
+      expired_count += list.size();
+      list.clear();
+    } else if (breakers_[s]->engaged()) {
+      for (const std::size_t i : list) {
+        result.decisions[i] = degraded_one(s, requests[i], &degraded_count, &degraded_miss_count);
+      }
+      list.clear();
+    }
   }
+
+  // Healthy shards: the engine's one shard fan-out, under `deadline`.
+  engine_.verify_routed(requests, admitted, result.decisions, deadline, pool);
+
   MANDIPASS_OBS_COUNT_N("auth.resil.admitted", admitted_count);
   MANDIPASS_OBS_COUNT_N("auth.resil.shed", shed_count + degraded_miss_count);
   MANDIPASS_OBS_COUNT_N("auth.resil.expired", expired_count);

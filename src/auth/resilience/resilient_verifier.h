@@ -4,8 +4,10 @@
 // ShardedVerifier (PR 7) gives throughput; ResilientVerifier gives
 // *containment*. It wraps the 8-shard engine with, per shard:
 //
-//   * a bounded AdmissionQueue — request storms shed the newest arrivals
-//     with typed Overloaded decisions instead of queueing unboundedly;
+//   * a bounded admission list — each call admits into its own per-shard
+//     lists capped at queue_capacity, and a storm sheds the newest
+//     arrivals with typed Overloaded decisions instead of queueing
+//     unboundedly;
 //   * a CircuitBreaker driven by the shard's persistence probes
 //     (persist_shard) — while engaged, the shard serves *degraded mode*:
 //     verification restricted to matrices already in the shared
@@ -13,24 +15,33 @@
 //     explicit `degraded` bit;
 //   * deadline enforcement — expired requests short-circuit to typed
 //     Expired decisions at admission, and scripted slow-shard stalls
-//     (ServiceFaultInjector) are applied as deadline *skew* inside the
+//     (ServiceFaultInjector) are applied as deadline *skew* before the
 //     shard fan-out.
 //
+// Healthy shards are served through ShardedVerifier::verify_routed, the
+// engine's one shard fan-out; this layer has no fan-out of its own.
+//
 // Request taxonomy after this layer (the §17 table):
-//   shed      never entered service (queue full / degraded cache miss)
+//   shed      never entered service (admission list full / degraded cache miss)
 //   expired   budget died before its work ran
 //   degraded  served exactly, by a breaker-engaged shard, and says so
 //   rejected  served, distance beyond threshold (a normal answer)
 //
 // Determinism rules (the chaos bench gates all counters exactly):
-//   * admission (phase A) is serial in request order — shed counts are a
-//     pure function of arrival order and queue capacity;
-//   * stalls are deadline skew, not clock advances or sleeps — expiry
-//     counts are independent of worker scheduling;
-//   * per-shard tallies are aggregated after the fan-out join — counter
-//     totals are identical for any thread count;
+//   * admission is serial in request order — shed counts are a pure
+//     function of arrival order and queue capacity;
+//   * stalls are deadline skew, not clock advances or sleeps, consumed on
+//     the caller thread in shard order — expiry counts are independent
+//     of worker scheduling;
+//   * stalled and breaker-engaged shards are served on the caller thread
+//     and only healthy shards reach the pool — counter totals are
+//     identical for any thread count;
 //   * breaker state changes only through persistence probes and scripted
 //     clocks — the verify path reads state, never mutates it.
+//
+// Concurrent callers are safe: all per-call state (admission lists,
+// decisions, tallies) lives on the caller's stack, and the shared parts —
+// shards, MatrixCache, breakers, fault injector — are internally locked.
 #pragma once
 
 #include <cstddef>
@@ -40,7 +51,6 @@
 #include <string>
 #include <vector>
 
-#include "auth/resilience/admission_queue.h"
 #include "auth/resilience/backoff.h"
 #include "auth/resilience/circuit_breaker.h"
 #include "auth/resilience/service_fault_injector.h"
@@ -52,7 +62,8 @@
 namespace mandipass::auth::resilience {
 
 struct ResilienceConfig {
-  /// Per-shard admission bound; arrivals past it are shed.
+  /// Per-shard admission bound of one verify_batch call; arrivals past
+  /// it are shed. Must be >= 1.
   std::size_t queue_capacity = 4096;
   /// Per-shard breaker tuning.
   CircuitBreakerConfig breaker{};
@@ -89,14 +100,16 @@ class ResilientVerifier {
   /// The owned fault injector (chaos scripting surface).
   ServiceFaultInjector& faults() { return faults_; }
 
-  /// Resilient batch verification. Phase A admits serially in request
-  /// order (deadline check, then bounded per-shard queue; rejects become
-  /// typed Expired / Shed decisions and count auth.resil.{expired,shed};
-  /// admissions count auth.resil.admitted). Phase B fans the shards out
-  /// over `pool`: a stalled shard (injector skew) expires its whole
-  /// admitted set; a breaker-engaged shard serves degraded mode; healthy
-  /// shards run the normal coalesced path under `deadline`. Decisions of
-  /// healthy shards are bit-identical to ShardedVerifier::verify_batch.
+  /// Resilient batch verification. Admission is serial in request order
+  /// (deadline check, then this call's per-shard list capped at
+  /// queue_capacity; rejects become typed Expired / Shed decisions and
+  /// count auth.resil.{expired,shed}; admissions count
+  /// auth.resil.admitted). Then, on the caller thread in shard order, a
+  /// stalled shard (injector skew) expires its whole admitted list and a
+  /// breaker-engaged shard serves it in degraded mode; the remaining
+  /// lists run through the engine's verify_routed on `pool` under
+  /// `deadline`. Decisions of healthy shards are bit-identical to
+  /// ShardedVerifier::verify_batch. Safe to call from several threads.
   BatchResult verify_batch(std::span<const VerifyRequest> requests,
                            const common::Deadline& deadline = {},
                            common::ThreadPool* pool = nullptr);
@@ -119,9 +132,8 @@ class ResilientVerifier {
   ResilienceConfig config_;
   ShardedVerifier engine_;
   ServiceFaultInjector faults_;
-  /// unique_ptr keeps mutex addresses stable; both vectors immutable
-  /// after construction.
-  std::vector<std::unique_ptr<AdmissionQueue>> queues_;
+  /// unique_ptr keeps mutex addresses stable; immutable after
+  /// construction.
   std::vector<std::unique_ptr<CircuitBreaker>> breakers_;
 };
 

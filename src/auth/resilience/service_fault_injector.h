@@ -21,8 +21,9 @@
 //     next lookup exercises the detection + self-heal path.
 //
 // Like the io fault hook, arm/clear calls belong in single-threaded
-// scenario setup; consume_stall is internally synchronised because it
-// runs on pool workers.
+// scenario setup. consume_stall runs on the verify_batch caller's thread;
+// it stays internally synchronised because several callers may share one
+// ResilientVerifier.
 #pragma once
 
 #include <cstddef>

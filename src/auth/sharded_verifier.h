@@ -11,12 +11,14 @@
 //     platform and across runs — tests and baselines depend on it;
 //   * writes (enroll / revoke / set_threshold) go to exactly the owning
 //     shard and touch no other shard's lock;
-//   * verify_batch routes each request to its shard, then fans the
-//     shards out over the thread pool. Within a shard the requests are
-//     further grouped by Gaussian-matrix seed and each group runs as one
-//     packed-GEMM tile (BatchVerifier::verify_coalesced) — the Gaussian
-//     product is the dominant per-verification cost, and same-seed
-//     requests share one streaming pass over the packed matrix.
+//   * verify_batch routes each request to its shard, then verify_routed
+//     fans the shards out over the thread pool — the service's one shard
+//     fan-out, which the resilience layer also serves through. Within a
+//     shard the requests are further grouped by Gaussian-matrix seed and
+//     each group runs as one packed-GEMM tile
+//     (BatchVerifier::verify_coalesced) — the Gaussian product is the
+//     dominant per-verification cost, and same-seed requests share one
+//     streaming pass over the packed matrix.
 //
 // Shard invariance: every decision is produced by the same snapshot +
 // transform + cosine pipeline as a lone BatchVerifier, and coalescing
@@ -85,20 +87,34 @@ class ShardedVerifier {
   /// the coalesced body, as a group of one).
   BatchDecision verify_one(const std::string& user, std::span<const float> raw_probe) const;
 
-  /// Routes requests to their shards, fans the shards out over `pool`
-  /// (the global pool when null), and coalesces same-seed requests
-  /// within each shard into single packed-GEMM tiles. decisions[i]
-  /// always answers requests[i]; duplicate user ids are safe (they land
-  /// on one shard and are decided against one snapshot).
+  /// Routes requests to their shards and serves them through
+  /// verify_routed, coalescing same-seed requests within each shard into
+  /// single packed-GEMM tiles. decisions[i] always answers requests[i];
+  /// duplicate user ids are safe (they land on one shard and are decided
+  /// against one snapshot). Counts auth.shard.verify_total and the
+  /// auth.shard.coalesced_* / singleton_requests totals.
   ///
-  /// `deadline` bounds the batch: when already expired on entry every
-  /// request short-circuits to a typed Expired decision without routing
-  /// or fan-out, and each shard re-checks it before its GEMM groups
-  /// (BatchVerifier::verify_coalesced). The default is unlimited and
-  /// adds one null check to the fast path.
+  /// `deadline` bounds the batch: each shard checks it on entry and
+  /// before each GEMM group (BatchVerifier::verify_coalesced), so an
+  /// expired budget turns every request into a typed Expired decision
+  /// without a lock or GEMM. The default is unlimited and adds one null
+  /// check to the fast path.
   BatchResult verify_batch(std::span<const VerifyRequest> requests,
                            common::ThreadPool* pool = nullptr,
                            const common::Deadline& deadline = {}) const;
+
+  /// The shard fan-out: one pool task per shard (the global pool when
+  /// `pool` is null) runs shard s's verify_coalesced on requests[routed[s]]
+  /// under `deadline`. Each index must appear in at most one list, so
+  /// the shards write disjoint decision slots; slots no list names are
+  /// untouched. Returns the summed coalescing stats and counts no
+  /// auth.shard.* metric — that is verify_batch's job. Preconditions:
+  /// routed.size() == shard_count(), decisions.size() == requests.size().
+  CoalesceStats verify_routed(std::span<const VerifyRequest> requests,
+                              std::span<const std::vector<std::size_t>> routed,
+                              std::span<BatchDecision> decisions,
+                              const common::Deadline& deadline,
+                              common::ThreadPool* pool = nullptr) const;
 
   /// Operating threshold (uniform across shards; read from shard 0).
   double threshold() const;
@@ -114,8 +130,8 @@ class ShardedVerifier {
   const MatrixCache& matrix_cache() const { return *cache_; }
   MatrixCache& matrix_cache() { return *cache_; }
 
-  /// Direct shard access for the resilience layer (per-shard admission
-  /// queues, circuit breakers and persistence probes wrap individual
+  /// Direct shard access for the resilience layer (per-shard circuit
+  /// breakers, degraded serving and persistence probes wrap individual
   /// shards). Precondition: s < shard_count().
   BatchVerifier& shard(std::size_t s) { return *shards_[s]; }
   const BatchVerifier& shard(std::size_t s) const { return *shards_[s]; }

@@ -200,8 +200,7 @@ TEST(BatchVerifier, BatchDecisionsAlignWithRequests) {
   EXPECT_EQ(result.stats.requests, 7u);
   EXPECT_EQ(result.stats.known, 6u);
   EXPECT_EQ(result.stats.accepted, 6u);
-  EXPECT_GT(result.stats.throughput_per_s, 0.0);
-  EXPECT_GE(result.stats.max_request_ms, result.stats.mean_request_ms);
+  EXPECT_EQ(result.stats.unknown, 1u);
 }
 
 TEST(BatchVerifier, BatchIsThreadCountInvariant) {

@@ -1,9 +1,10 @@
-// Overload-resilience layer (DESIGN.md §17): admission-queue bounds,
-// deterministic retry backoff through the capturing sleep hook, the
-// bounded/integrity-checked MatrixCache, deadline propagation through the
-// sharded engine, and the full ResilientVerifier taxonomy — shed counts
-// exact by arrival order, stall-skew expiry, degraded-mode serving with
-// bit-identical distances, and breaker-gated persistence with recovery.
+// Overload-resilience layer (DESIGN.md §17): deterministic retry backoff
+// through the capturing sleep hook, the bounded/integrity-checked
+// MatrixCache, deadline propagation through the sharded engine, and the
+// full ResilientVerifier taxonomy — shed counts exact by arrival order,
+// stall-skew expiry, degraded-mode serving with bit-identical distances,
+// breaker-gated persistence with recovery, and concurrent callers on one
+// verifier.
 #include "auth/resilience/resilient_verifier.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -20,7 +22,6 @@
 #include "auth/batch_verifier.h"
 #include "auth/gaussian_matrix.h"
 #include "auth/matrix_cache.h"
-#include "auth/resilience/admission_queue.h"
 #include "auth/resilience/backoff.h"
 #include "auth/sharded_verifier.h"
 #include "common/deadline.h"
@@ -91,26 +92,6 @@ void clean_disk(const std::string& path) {
   std::remove((path + ".tmp").c_str());
   std::remove((path + ".bak").c_str());
   std::remove((path + ".bak.tmp").c_str());
-}
-
-// ---------------------------------------------------------------- queue
-
-TEST(AdmissionQueue, BoundsAndDrainsInFifoOrder) {
-  AdmissionQueue q(3);
-  EXPECT_EQ(q.capacity(), 3u);
-  EXPECT_EQ(q.size(), 0u);
-  EXPECT_TRUE(q.try_push(10));
-  EXPECT_TRUE(q.try_push(11));
-  EXPECT_TRUE(q.try_push(12));
-  EXPECT_EQ(q.size(), 3u);
-  EXPECT_FALSE(q.try_push(13));  // reject-newest: the bound holds
-  EXPECT_EQ(q.size(), 3u);
-  const std::vector<std::size_t> drained = q.drain();
-  EXPECT_EQ(drained, (std::vector<std::size_t>{10, 11, 12}));
-  EXPECT_EQ(q.size(), 0u);
-  // The queue is reusable after a drain.
-  EXPECT_TRUE(q.try_push(13));
-  EXPECT_EQ(q.drain(), std::vector<std::size_t>{13});
 }
 
 // -------------------------------------------------------------- backoff
@@ -314,7 +295,20 @@ TEST(ShardedVerifierDeadline, ExpiredBudgetShortCircuitsEveryShard) {
   common::VirtualClock clock;
   const auto deadline = common::Deadline::after_us(100, &clock);
   clock.advance_us(101);
+  const char* names[] = {"auth.batch.verify_total",     "auth.batch.verify_expired",
+                         "auth.shard.verify_total",     "auth.shard.coalesced_groups",
+                         "auth.shard.coalesced_requests", "auth.shard.singleton_requests"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) {
+    before.push_back(counter_value(name));
+  }
   const BatchResult result = engine.verify_batch(requests, nullptr, deadline);
+  // Every request is counted once as served-and-expired; none reaches a
+  // GEMM group, so the coalescing counters do not move.
+  const std::vector<std::uint64_t> want_delta{12, 12, 12, 0, 0, 0};
+  for (std::size_t n = 0; n < std::size(names); ++n) {
+    EXPECT_EQ(counter_value(names[n]) - before[n], want_delta[n]) << names[n];
+  }
   EXPECT_EQ(result.stats.expired, 12u);
   for (const BatchDecision& d : result.decisions) {
     EXPECT_EQ(d.status, BatchStatus::Expired);
@@ -593,6 +587,54 @@ TEST(ResilientVerifier, PoisonedCacheEntrySelfHealsThroughService) {
     EXPECT_EQ(got.decisions[i].status, healthy.decisions[i].status) << i;
     EXPECT_EQ(got.decisions[i].decision.distance, healthy.decisions[i].decision.distance) << i;
   }
+}
+
+// Two callers share one ResilientVerifier, each with its own pool and a
+// different batch size. Admission lives in per-call lists, so neither
+// caller can see, drain or overwrite the other's requests: every
+// decision answers its own request with the reference distance.
+TEST(ResilientVerifier, ConcurrentCallersEachGetTheirOwnDecisions) {
+  constexpr std::size_t kUsers = 48;
+  constexpr int kRounds = 300;
+  Scenario sc(8, {}, kUsers);
+  // Per-user probe noise makes every distance distinct, so an answer
+  // written into the wrong slot cannot pass for the right one.
+  Rng rng(34);
+  for (VerifyRequest& r : sc.requests) {
+    for (float& x : r.raw_probe) {
+      x += static_cast<float>(rng.normal(0.0, 0.01));
+    }
+  }
+  const BatchResult want = sc.reference.verify_batch(sc.requests);
+  ASSERT_EQ(want.stats.accepted, kUsers);
+
+  const auto caller = [&](std::size_t first, std::size_t size, std::atomic<std::size_t>& wrong) {
+    const auto begin = sc.requests.begin() + static_cast<std::ptrdiff_t>(first);
+    const std::vector<VerifyRequest> batch(begin, begin + static_cast<std::ptrdiff_t>(size));
+    common::ThreadPool pool(2);
+    for (int round = 0; round < kRounds; ++round) {
+      const BatchResult got = sc.resilient.verify_batch(batch, {}, &pool);
+      if (got.decisions.size() != size || got.stats.accepted != size) {
+        wrong.fetch_add(1);
+        continue;
+      }
+      for (std::size_t k = 0; k < size; ++k) {
+        const BatchDecision& d = got.decisions[k];
+        if (d.status != BatchStatus::Accepted ||
+            d.decision.distance != want.decisions[first + k].decision.distance) {
+          wrong.fetch_add(1);
+        }
+      }
+    }
+  };
+  std::atomic<std::size_t> wrong_a{0};
+  std::atomic<std::size_t> wrong_b{0};
+  std::thread a(caller, 0, 32, std::ref(wrong_a));
+  std::thread b(caller, 32, 8, std::ref(wrong_b));
+  a.join();
+  b.join();
+  EXPECT_EQ(wrong_a.load(), 0u);
+  EXPECT_EQ(wrong_b.load(), 0u);
 }
 
 TEST(ResilientVerifier, CountersAreThreadCountInvariant) {
